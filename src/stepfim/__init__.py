@@ -10,10 +10,9 @@ Pipeline stages, each usable as a library call or a CLI subcommand:
 """
 
 from stepfim.decompose import (
-    CotRecord,
     DecomposeConfig,
     EmptySolution,
-    Step,
+    NonTextSolution,
     StepChain,
     UnbalancedMath,
     decompose,
@@ -41,12 +40,13 @@ from stepfim.expand import (
     ExpansionReport,
     GapProposal,
     expand_chain,
-    expand_dataset,
     expand_iteratively,
+    expand_records,
 )
 from stepfim.backends import (
     BackendConfig,
     BackendError,
+    BadFixture,
     FimRequest,
     FixtureMiss,
     HttpBackend,
@@ -67,6 +67,7 @@ from stepfim.synth import (
 from stepfim.stats import (
     CorpusStats,
     EmptyCorpus,
+    MalformedRecord,
     StatsDelta,
     TokenizerMismatch,
     diff_stats,

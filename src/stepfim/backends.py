@@ -39,6 +39,10 @@ class FixtureMiss(BackendError):
     """Replay fixture has no entry for the request."""
 
 
+class BadFixture(ValueError):
+    """A replay fixture line lacks a string request_id or response."""
+
+
 def request_id_for(question: str, prefix_steps: tuple[str, ...], suffix_steps: tuple[str, ...]) -> str:
     """Stable hex id: sha256 over the canonical JSON encoding (UTF-8)."""
     payload = json.dumps(
@@ -103,8 +107,13 @@ class ReplayBackend:
     @classmethod
     def from_file(cls, fixture_path: str) -> "ReplayBackend":
         mapping: dict[str, str] = {}
-        for row in read_jsonl(fixture_path):
-            mapping.setdefault(row["request_id"], row["response"])
+        for entry, row in enumerate(read_jsonl(fixture_path), start=1):
+            rid, response = row.get("request_id"), row.get("response")
+            if not isinstance(rid, str) or not isinstance(response, str):
+                raise BadFixture(
+                    f"{fixture_path}: entry {entry} needs a string request_id and response"
+                )
+            mapping.setdefault(rid, response)
         return cls(mapping)
 
     def fill(self, request: FimRequest) -> str:

@@ -21,12 +21,12 @@ import time
 from typing import Any, Callable, TextIO
 from urllib.parse import urlparse
 
-from stepfim.backends import BackendConfig, make_backend
+from stepfim.backends import BackendConfig, BadFixture, make_backend
 from stepfim.decompose import DecomposeConfig, StepChain, decompose
 from stepfim.expand import ExpansionConfig, expand_records
 from stepfim.fim import SamplerConfig, sample_fim
 from stepfim.jsonl import JsonlError, dumps_line, read_jsonl
-from stepfim.stats import CorpusStats, EmptyCorpus, diff_stats, stats
+from stepfim.stats import CorpusStats, EmptyCorpus, MalformedRecord, diff_stats, stats
 from stepfim.synth import CorpusSpec, generate
 
 
@@ -73,8 +73,7 @@ DEFAULTS: dict[str, dict[str, Any]] = {
         "iterations": 1,
         "include_leading_gap": False,
         "max_in_flight": 4,
-        "retry_limit": 0,
-        "seed": 0,
+        "retry_limit": 2,
         "endpoint_url": "",
         "auth_token_env": "",
         "timeout_ms": 30_000,
@@ -136,14 +135,17 @@ def build_parser() -> _Parser:
     p.add_argument("--include-leading-gap", action=argparse.BooleanOptionalAction,
                    help="also fill the gap before the first step")
     p.add_argument("--max-in-flight", type=int, help="concurrent backend requests")
-    p.add_argument("--retry-limit", type=int, help="engine retries per gap")
-    p.add_argument("--seed", type=int, help="passed to stochastic backends")
+    p.add_argument("--retry-limit", type=int,
+                   help="HTTP retries of a transient failure after the first attempt "
+                        "(http backend; default 2)")
     p.add_argument("--endpoint-url", help="completion endpoint (http backend)")
     p.add_argument("--auth-token-env", help="env var holding the bearer token (http backend)")
     p.add_argument("--timeout-ms", type=int)
     p.add_argument("--backoff-ms", type=int)
     p.add_argument("--fixture-path", help="recorded responses JSONL (replay backend)")
-    p.add_argument("--max-new-chars", type=int, help="completion length cap")
+    p.add_argument("--max-new-chars", type=int,
+                   help="sent as the endpoint's max_tokens, and the completion is also cut "
+                        "to this many characters (http backend; default 2000)")
 
     p = sub.add_parser("gen-synth", help="generate a verifiable arithmetic corpus")
     p.add_argument("--count", type=int, help="number of problems (required)")
@@ -307,8 +309,6 @@ def cmd_expand(cfg: dict[str, Any]) -> int:
         iterations=cfg["iterations"],
         include_leading_gap=cfg["include_leading_gap"],
         max_in_flight=cfg["max_in_flight"],
-        retry_limit=cfg["retry_limit"],
-        seed=cfg["seed"],
     )
 
     counts = {"records": 0, "failed_records": 0, "inserted": 0, "invalid": 0,
@@ -429,7 +429,7 @@ def main(argv: list[str] | None = None) -> int:
     except BackendUnreachable as exc:
         _note(f"error: {exc}")
         return 3
-    except (DataError, JsonlError, EmptyCorpus, OSError) as exc:
+    except (DataError, JsonlError, EmptyCorpus, MalformedRecord, BadFixture, OSError) as exc:
         _note(f"error: {exc}")
         return 2
     except ValueError as exc:

@@ -10,7 +10,7 @@ The inverse operation `join` is lossless up to whitespace normalization:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Words that start a new step when they open a sentence.
 MARKER_WORDS = frozenset({"first", "next", "then", "finally", "therefore"})
@@ -38,54 +38,39 @@ class UnbalancedMath(ValueError):
     """A math delimiter was opened but never closed."""
 
 
+class NonTextSolution(ValueError):
+    """The solution field is not a string."""
+
+
 def normalize_ws(text: str) -> str:
     """Collapse whitespace runs to single spaces and trim the ends."""
     return " ".join(text.split())
 
 
 @dataclass(frozen=True)
-class CotRecord:
-    """One (question, solution) pair from a source corpus."""
-
-    id: str
-    question: str
-    solution: str
-
-
-@dataclass(frozen=True)
-class Step:
-    """A single reasoning step at a 0-based position in its chain."""
-
-    index: int
-    text: str
-
-
-@dataclass(frozen=True)
 class StepChain:
-    """Ordered, nonempty list of steps plus the canonical join separator."""
+    """Ordered, nonempty tuple of step texts plus the canonical join separator."""
 
-    steps: tuple[Step, ...]
+    texts: tuple[str, ...]
     separator: str = "\n"
 
     def __post_init__(self) -> None:
-        if not self.steps:
+        if not self.texts:
             raise ValueError("StepChain needs at least one step")
-        for pos, step in enumerate(self.steps):
-            if step.index != pos:
-                raise ValueError(f"step index {step.index} at position {pos}")
-            if not step.text or step.text != step.text.strip():
+        for pos, text in enumerate(self.texts):
+            if not isinstance(text, str):
+                raise ValueError(f"step {pos} is a {type(text).__name__}, not a string")
+            if not text or text != text.strip():
                 raise ValueError(f"step {pos} is empty or untrimmed")
 
     @classmethod
     def from_texts(cls, texts: list[str] | tuple[str, ...], separator: str = "\n") -> "StepChain":
-        return cls(tuple(Step(i, t) for i, t in enumerate(texts)), separator)
-
-    @property
-    def texts(self) -> tuple[str, ...]:
-        return tuple(step.text for step in self.steps)
+        if not isinstance(texts, (list, tuple)):
+            raise ValueError(f"steps must be a list of strings, not a {type(texts).__name__}")
+        return cls(tuple(texts), separator)
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.texts)
 
 
 @dataclass(frozen=True)
@@ -255,11 +240,14 @@ def decompose(solution: str, config: DecomposeConfig | None = None) -> StepChain
     abbreviations never split. Fragments shorter than
     ``config.min_step_chars`` merge into the preceding step.
 
-    Raises EmptySolution for blank input and UnbalancedMath when a math
+    Raises NonTextSolution when the solution is not a string,
+    EmptySolution for blank input and UnbalancedMath when a math
     delimiter is left open.
     """
     if config is None:
         config = DecomposeConfig()
+    if not isinstance(solution, str):
+        raise NonTextSolution(f"solution is a {type(solution).__name__}, not a string")
     text = normalize_ws(solution)
     if not text:
         raise EmptySolution("solution is empty")

@@ -12,7 +12,8 @@ Decisions recorded per gap:
 - valid: gated in, inserted
 - invalid: near-duplicate of the next step, or empty candidate
 - malformed: the completion was nothing but special-token noise
-- backend_error: the backend failed after the engine's retries
+- backend_error: the backend's fill raised; the engine calls it once per
+  gap, so retrying is the backend's own job
 """
 
 from __future__ import annotations
@@ -37,14 +38,12 @@ DECISIONS = (VALID, INVALID, MALFORMED, BACKEND_ERROR)
 
 @dataclass(frozen=True)
 class ExpansionConfig:
-    """Engine knobs; `seed` is plumbing for stochastic backends only."""
+    """Engine knobs."""
 
     eta: float = 0.8
     iterations: int = 1
     include_leading_gap: bool = False
     max_in_flight: int = 4
-    retry_limit: int = 0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         GateConfig(self.eta)  # range check
@@ -52,8 +51,6 @@ class ExpansionConfig:
             raise ValueError("iterations must be >= 1")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
-        if self.retry_limit < 0:
-            raise ValueError("retry_limit must be >= 0")
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -61,8 +58,6 @@ class ExpansionConfig:
             "iterations": self.iterations,
             "include_leading_gap": self.include_leading_gap,
             "max_in_flight": self.max_in_flight,
-            "retry_limit": self.retry_limit,
-            "seed": self.seed,
         }
 
 
@@ -99,7 +94,7 @@ class GapProposal:
 
 @dataclass(frozen=True)
 class ExpansionReport:
-    """Accounting for one expansion pass (or an aggregate of passes)."""
+    """Accounting for one expansion pass."""
 
     record_id: str | None = None
     iteration: int = 0
@@ -170,19 +165,13 @@ def requests_for_chain(
 
 def _propose(backend: FimBackend, gap_index: int, request: FimRequest, config: ExpansionConfig) -> GapProposal:
     start = time.perf_counter()
-    raw: str | None = None
-    failure: str | None = None
-    for _ in range(config.retry_limit + 1):
-        try:
-            raw = backend.fill(request)
-            failure = None
-            break
-        except Exception as exc:
-            failure = f"{type(exc).__name__}: {exc}"
-    latency_ms = (time.perf_counter() - start) * 1000.0
-
-    if raw is None:
+    try:
+        raw = backend.fill(request)
+    except Exception as exc:
+        latency_ms = (time.perf_counter() - start) * 1000.0
+        failure = f"{type(exc).__name__}: {exc}"
         return GapProposal(gap_index, request.request_id, "", None, BACKEND_ERROR, latency_ms, failure)
+    latency_ms = (time.perf_counter() - start) * 1000.0
 
     cleaned, truncated = clean_candidate(raw)
     if truncated and not cleaned:
@@ -273,28 +262,6 @@ def expand_iteratively(
     return current, reports
 
 
-def aggregate_reports(reports: Iterable[ExpansionReport]) -> ExpansionReport:
-    """Sum counts across reports; proposals are dropped to bound memory."""
-    totals = {"attempted": 0, "inserted": 0, "invalid": 0, "malformed": 0, "errored": 0}
-    input_steps = output_steps = 0
-    elapsed = 0.0
-    for r in reports:
-        totals["attempted"] += r.attempted
-        totals["inserted"] += r.inserted
-        totals["invalid"] += r.invalid
-        totals["malformed"] += r.malformed
-        totals["errored"] += r.errored
-        input_steps += r.input_steps
-        output_steps += r.output_steps
-        elapsed += r.elapsed_ms
-    return ExpansionReport(
-        input_steps=input_steps,
-        output_steps=output_steps,
-        elapsed_ms=elapsed,
-        **totals,
-    )
-
-
 def expand_records(
     records: Iterable[dict[str, Any]],
     backend: FimBackend,
@@ -302,9 +269,11 @@ def expand_records(
 ) -> Iterator[tuple[dict[str, Any], list[ExpansionReport]]]:
     """Expand a stream of `{id, question, steps}` records one at a time.
 
-    A record that cannot be expanded (bad shape, backend misuse) is
-    yielded unchanged with a zero-count report carrying the error, so a
-    single poisoned record never aborts a batch run.
+    This is the one expansion path for the CLI and for library callers;
+    corpus totals are the caller's sum over the yielded reports. A record
+    that cannot be expanded (bad shape, backend misuse) is yielded
+    unchanged with a zero-count report carrying the error, so a single
+    poisoned record never aborts a batch run.
     """
     if config is None:
         config = ExpansionConfig()
@@ -328,24 +297,3 @@ def expand_records(
         out = dict(row)
         out["steps"] = list(expanded.texts)
         yield out, [replace(r, record_id=record_id) for r in reports]
-
-
-def expand_dataset(
-    records: Iterable[dict[str, Any]],
-    backend: FimBackend,
-    config: ExpansionConfig | None = None,
-) -> tuple[list[dict[str, Any]], ExpansionReport]:
-    """Expand a whole corpus; returns (records in input order, aggregate report)."""
-    out_records: list[dict[str, Any]] = []
-    all_reports: list[ExpansionReport] = []
-    input_steps = output_steps = 0
-    for row, reports in expand_records(records, backend, config):
-        out_records.append(row)
-        all_reports.extend(reports)
-        # step totals count each record once, not once per iteration round
-        input_steps += reports[0].input_steps
-        output_steps += reports[-1].output_steps
-    aggregate = replace(
-        aggregate_reports(all_reports), input_steps=input_steps, output_steps=output_steps
-    )
-    return out_records, aggregate

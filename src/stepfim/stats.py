@@ -23,6 +23,10 @@ class TokenizerMismatch(ValueError):
     """Comparing token counts from different counting schemes."""
 
 
+class MalformedRecord(ValueError):
+    """A record's steps are missing or not a list of strings."""
+
+
 def _whitespace_count(text: str) -> int:
     return len(text.split())
 
@@ -105,8 +109,9 @@ def stats(
     """One-pass statistics over `{id, question, steps}` records.
 
     Tokens are counted on the joined solution steps only; the question
-    is context, not training payload. Raises EmptyCorpus on zero records
-    and ValueError for an unregistered tokenizer_id.
+    is context, not training payload. Raises EmptyCorpus on zero records,
+    MalformedRecord when a record's steps are not a list of strings, and
+    ValueError for an unregistered tokenizer_id.
     """
     if tokenizer_id not in TOKENIZERS:
         raise ValueError(f"unknown tokenizer {tokenizer_id!r}; registered: {sorted(TOKENIZERS)}")
@@ -116,10 +121,16 @@ def stats(
     total_tokens = 0
     total_steps = 0
     for row in records:
-        steps = row["steps"]
+        steps = row.get("steps")
+        if not isinstance(steps, (list, tuple)):
+            raise MalformedRecord(f"record {samples + 1}: steps is a {type(steps).__name__}, not a list")
+        try:
+            text = separator.join(steps)
+        except TypeError as exc:
+            raise MalformedRecord(f"record {samples + 1}: steps must all be strings: {exc}") from exc
         samples += 1
         total_steps += len(steps)
-        total_tokens += count_tokens(separator.join(steps))
+        total_tokens += count_tokens(text)
     if samples == 0:
         raise EmptyCorpus("no records to summarize")
     return CorpusStats(

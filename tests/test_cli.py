@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import pytest
+from helpers import StubCompletionServer
 
 
 def run_cli(*args: str):
@@ -27,6 +28,9 @@ def _write_jsonl(path, rows):
 def _read_jsonl(path):
     with open(path, encoding="utf-8") as handle:
         return [json.loads(line) for line in handle if line.strip()]
+
+
+CHAIN = {"id": "c0", "question": "What is 2 + 3?", "steps": ["Add 2 and 3.", "The answer is 5."]}
 
 
 @pytest.fixture
@@ -152,6 +156,16 @@ class TestBuildFim:
         assert result.returncode == 1
         assert "--seed" in result.stderr
 
+    @pytest.mark.parametrize("steps", ["Hi.", [1, 2]])
+    def test_malformed_steps_are_skipped_and_counted(self, tmp_path, steps):
+        inp, out = tmp_path / "chains.jsonl", tmp_path / "fim.jsonl"
+        _write_jsonl(inp, [{"id": "bad", "question": "q?", "steps": steps}, CHAIN])
+        result = run_cli("build-fim", "--input", str(inp), "--output", str(out), "--seed", "7")
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
+        assert "3 samples written, 1 records skipped" in result.stderr
+        assert {sample["source_id"] for sample in _read_jsonl(out)} == {"c0"}
+
 
 class TestExpand:
     def test_oracle_backend_restores_dropped_steps(self, synth_dir, tmp_path):
@@ -188,6 +202,41 @@ class TestExpand:
         assert run_cli(*args).returncode == 0
         assert out.read_bytes() == first_out
         assert report.read_bytes() == first_report
+
+    @pytest.mark.parametrize("steps", ["Hi.", [1, 2]])
+    def test_malformed_steps_pass_through_with_an_error(self, tmp_path, steps):
+        row = {"id": "bad", "question": "q?", "steps": steps}
+        inp, out, report = tmp_path / "in.jsonl", tmp_path / "out.jsonl", tmp_path / "report.jsonl"
+        _write_jsonl(inp, [row])
+        result = run_cli(
+            "expand", "--input", str(inp), "--output", str(out), "--report", str(report),
+            "--backend", "oracle",
+        )
+        assert result.returncode == 0, result.stderr
+        assert _read_jsonl(out) == [row]
+        (line,) = _read_jsonl(report)[1:]
+        assert line["error"].startswith("ValueError: ")
+        assert line["attempted"] == 0
+
+    @pytest.mark.parametrize("retry_limit, posts", [(None, 3), (0, 1), (4, 5)])
+    def test_a_failing_gap_gets_retry_limit_plus_one_posts(self, tmp_path, retry_limit, posts):
+        inp, out, report = tmp_path / "in.jsonl", tmp_path / "out.jsonl", tmp_path / "report.jsonl"
+        _write_jsonl(inp, [CHAIN])
+        with StubCompletionServer([(503, {"error": "overloaded"})]) as server:
+            argv = [
+                "expand", "--input", str(inp), "--output", str(out), "--report", str(report),
+                "--backend", "http", "--endpoint-url", server.url, "--backoff-ms", "1",
+            ]
+            if retry_limit is not None:
+                argv += ["--retry-limit", str(retry_limit)]
+            result = run_cli(*argv)
+            assert result.returncode == 0, result.stderr
+            assert len(server.seen) == posts
+        (line,) = _read_jsonl(report)[1:]
+        (proposal,) = line["proposals"]
+        assert proposal["decision"] == "backend_error"
+        assert f"after {posts - 1} retries" in proposal["error"]
+        assert _read_jsonl(out) == [CHAIN]
 
     def test_unreachable_endpoint_exits_three(self, synth_dir, tmp_path):
         result = run_cli(
@@ -316,6 +365,42 @@ class TestExitCodesAndConfig:
         )
         assert result.returncode == 1
         assert "bogus_knob" in result.stderr
+
+    @pytest.mark.parametrize(
+        "files, argv, code, needle",
+        [
+            pytest.param(
+                {"src": [{"id": "n", "question": "q?", "solution": 123}]},
+                ["decompose", "--input", "{src}", "--output", "{out}", "--rejects", "{rej}"],
+                0, "1 records rejected", id="decompose-non-string-solution",
+            ),
+            pytest.param(
+                {"src": [{"id": "s", "question": "q?"}]},
+                ["stats", "--input", "{src}"], 2, "error: record 1", id="stats-without-steps",
+            ),
+            pytest.param(
+                {"src": [{"id": "s", "question": "q?", "steps": [1, 2]}]},
+                ["stats", "--input", "{src}"], 2, "error: record 1", id="stats-non-string-steps",
+            ),
+            pytest.param(
+                {"src": [CHAIN], "fix": [{"response": "Add 2 and 3 to get 5."}]},
+                ["expand", "--input", "{src}", "--output", "{out}", "--backend", "replay",
+                 "--fixture-path", "{fix}"],
+                2, "fix.jsonl", id="replay-fixture-without-request-id",
+            ),
+        ],
+    )
+    def test_bad_input_keeps_the_exit_code_contract(self, tmp_path, files, argv, code, needle):
+        paths = {name: str(tmp_path / f"{name}.jsonl") for name in ("src", "out", "rej", "fix")}
+        for name, rows in files.items():
+            _write_jsonl(paths[name], rows)
+        result = run_cli(*(arg.format(**paths) for arg in argv))
+        assert result.returncode == code, result.stderr
+        assert "Traceback" not in result.stderr
+        assert needle in result.stderr
+        if "--rejects" in argv:
+            (reject,) = _read_jsonl(paths["rej"])
+            assert reject["error"].startswith("NonTextSolution: ")
 
     def test_config_file_must_be_a_json_object(self, tmp_path):
         cfg = tmp_path / "run.json"

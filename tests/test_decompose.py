@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from stepfim.decompose import (
     DecomposeConfig,
     EmptySolution,
-    Step,
+    NonTextSolution,
     StepChain,
     UnbalancedMath,
     decompose,
@@ -141,6 +141,11 @@ class TestFragments:
         with pytest.raises(EmptySolution):
             decompose("... !!! ---")
 
+    @pytest.mark.parametrize("solution", [123, None, ["First step."]])
+    def test_non_string_solution_raises(self, solution):
+        with pytest.raises(NonTextSolution):
+            decompose(solution)
+
 
 class TestChainType:
     def test_from_texts_round_trip(self):
@@ -150,7 +155,7 @@ class TestChainType:
 
     def test_rejects_empty_chain(self):
         with pytest.raises(ValueError):
-            StepChain(steps=())
+            StepChain(texts=())
 
     def test_rejects_untrimmed_or_blank_steps(self):
         with pytest.raises(ValueError):
@@ -158,9 +163,10 @@ class TestChainType:
         with pytest.raises(ValueError):
             StepChain.from_texts(["ok", ""])
 
-    def test_rejects_misnumbered_steps(self):
+    @pytest.mark.parametrize("steps", ["Hi.", [1, 2], ["ok", None], None])
+    def test_rejects_a_string_or_non_string_steps(self, steps):
         with pytest.raises(ValueError):
-            StepChain(steps=(Step(0, "a"), Step(2, "b")))
+            StepChain.from_texts(steps)
 
     def test_join_uses_separator(self):
         chain = StepChain.from_texts(["a", "b"], separator=" | ")
@@ -213,4 +219,4 @@ class TestRoundTrip:
 
     def test_steps_are_never_blank(self):
         chain = decompose("First add. Then subtract. Finally report the total value.")
-        assert all(step.text.strip() == step.text and step.text for step in chain.steps)
+        assert all(text.strip() == text and text for text in chain.texts)

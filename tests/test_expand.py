@@ -19,10 +19,8 @@ from stepfim.expand import (
     ExpansionConfig,
     ExpansionReport,
     GapProposal,
-    aggregate_reports,
     clean_candidate,
     expand_chain,
-    expand_dataset,
     expand_iteratively,
     expand_records,
     requests_for_chain,
@@ -61,18 +59,6 @@ class NoveltyBackend:
     """Always proposes fresh text no gate could mistake for the next step."""
 
     def fill(self, request: FimRequest) -> str:
-        return f"fresh step {request.request_id[:12]}"
-
-
-class FlakyBackend:
-    def __init__(self, failures: int):
-        self.failures = failures
-        self.calls = 0
-
-    def fill(self, request: FimRequest) -> str:
-        self.calls += 1
-        if self.calls <= self.failures:
-            raise RuntimeError(f"transient failure {self.calls}")
         return f"fresh step {request.request_id[:12]}"
 
 
@@ -126,10 +112,9 @@ class TestRequestsForChain:
 
 
 class TestDecisions:
-    def _one_gap(self, backend, **config_kwargs):
-        config = ExpansionConfig(**config_kwargs)
+    def _one_gap(self, backend):
         chain = _chain(("Compute 2 + 3 = 5.", "The answer is 5."))
-        expanded, report = expand_chain(QUESTION, chain, backend, config)
+        expanded, report = expand_chain(QUESTION, chain, backend, ExpansionConfig())
         assert report.attempted == 1
         return expanded, report.proposals[0]
 
@@ -178,15 +163,20 @@ class TestDecisions:
         _, proposal = self._one_gap(EchoBackend())
         assert proposal.candidate == "The answer is 5."
 
-    def test_gap_retry_recovers_within_budget(self):
-        _, proposal = self._one_gap(FlakyBackend(failures=2), retry_limit=2)
-        assert proposal.decision == VALID
+    def test_failing_fill_is_called_once(self):
+        class FailsOnce:
+            calls = 0
 
-    def test_gap_retry_budget_exhausted_is_an_error(self):
-        backend = FlakyBackend(failures=2)
-        _, proposal = self._one_gap(backend, retry_limit=1)
+            def fill(self, request):
+                self.calls += 1
+                if self.calls == 1:
+                    raise RuntimeError("transient failure")
+                return "a second call would have filled the gap."
+
+        backend = FailsOnce()
+        _, proposal = self._one_gap(backend)
         assert proposal.decision == BACKEND_ERROR
-        assert backend.calls == 2
+        assert backend.calls == 1
 
 
 class TestInsertion:
@@ -335,18 +325,6 @@ class TestReports:
         assert report.errored == 1
         assert report.inserted == 1
 
-    def test_aggregate_sums_every_counter(self):
-        reports = []
-        for texts in (FINE, COARSE):
-            _, report = expand_chain(QUESTION, _chain(texts), NoveltyBackend(), ExpansionConfig())
-            reports.append(report)
-        total = aggregate_reports(reports)
-        assert total.attempted == sum(r.attempted for r in reports)
-        assert total.inserted == sum(r.inserted for r in reports)
-        assert total.input_steps == sum(r.input_steps for r in reports)
-        assert total.output_steps == sum(r.output_steps for r in reports)
-        assert total.proposals == ()
-
     def test_timing_fields_can_be_left_out_of_serialization(self):
         _, report = expand_chain(QUESTION, _chain(), NoveltyBackend(), ExpansionConfig())
         row = report.to_dict(include_timing=False)
@@ -366,7 +344,6 @@ class TestConfigValidation:
             {"eta": -0.2},
             {"iterations": 0},
             {"max_in_flight": 0},
-            {"retry_limit": -1},
         ],
     )
     def test_bad_values_rejected(self, kwargs):
@@ -374,8 +351,9 @@ class TestConfigValidation:
             ExpansionConfig(**kwargs)
 
     def test_round_trips_to_a_plain_dict(self):
-        config = ExpansionConfig(eta=0.7, iterations=2, seed=5)
+        config = ExpansionConfig(eta=0.7, iterations=2, max_in_flight=2)
         assert ExpansionConfig(**config.to_dict()) == config
+        assert list(config.to_dict()) == ["eta", "iterations", "include_leading_gap", "max_in_flight"]
 
 
 class TestRecordStreams:
@@ -385,15 +363,18 @@ class TestRecordStreams:
             {"id": "r1", "question": QUESTION, "steps": list(FINE)},
         ]
 
+    def _expand(self, rows, config=ExpansionConfig()):
+        return list(expand_records(rows, NoveltyBackend(), config))
+
     def test_records_come_back_in_input_order(self):
-        records, _ = expand_dataset(self._rows(), NoveltyBackend(), ExpansionConfig())
-        assert [r["id"] for r in records] == ["r0", "r1"]
+        out = self._expand(self._rows())
+        assert [row["id"] for row, _ in out] == ["r0", "r1"]
 
     def test_extra_fields_ride_along_unchanged(self):
         rows = self._rows()
         rows[0]["license"] = "cc-by"
-        records, _ = expand_dataset(rows, NoveltyBackend(), ExpansionConfig())
-        assert records[0]["license"] == "cc-by"
+        (first, _), _ = self._expand(rows)
+        assert first["license"] == "cc-by"
 
     def test_poisoned_record_is_passed_through_with_an_error(self):
         rows = self._rows()
@@ -419,17 +400,16 @@ class TestRecordStreams:
         assert [reports[0].record_id for _, reports in out] == ["r0", "r1"]
 
     def test_dataset_aggregate_counts_each_record_once(self):
-        config = ExpansionConfig(iterations=2)
-        records, aggregate = expand_dataset(self._rows(), NoveltyBackend(), config)
-        assert aggregate.input_steps == len(COARSE) + len(FINE)
-        assert aggregate.output_steps == sum(len(r["steps"]) for r in records)
-        assert aggregate.attempted == aggregate.inserted + aggregate.invalid
+        out = self._expand(self._rows(), ExpansionConfig(iterations=2))
+        # one report per round; step totals take each record's first and last round
+        assert all(len(reports) == 2 for _, reports in out)
+        assert sum(reports[0].input_steps for _, reports in out) == len(COARSE) + len(FINE)
+        assert [reports[-1].output_steps for _, reports in out] == [len(row["steps"]) for row, _ in out]
+        every = [r for _, reports in out for r in reports]
+        assert sum(r.attempted for r in every) == sum(r.inserted + r.invalid for r in every)
 
     def test_empty_corpus_gives_a_zero_report(self):
-        records, aggregate = expand_dataset([], NoveltyBackend(), ExpansionConfig())
-        assert records == []
-        assert aggregate.attempted == 0
-        assert aggregate.input_steps == 0
+        assert self._expand([]) == []
 
 
 @st.composite
