@@ -22,7 +22,7 @@ from typing import Any, Callable, TextIO
 from urllib.parse import urlparse
 
 from stepfim.backends import BackendConfig, BadFixture, make_backend
-from stepfim.decompose import DecomposeConfig, StepChain, decompose
+from stepfim.decompose import DecomposeConfig, chain_record, decompose
 from stepfim.expand import ExpansionConfig, expand_records
 from stepfim.fim import SamplerConfig, sample_fim
 from stepfim.jsonl import JsonlError, dumps_line, read_jsonl
@@ -134,7 +134,9 @@ def build_parser() -> _Parser:
     p.add_argument("--iterations", type=int, help="expansion rounds (default 1)")
     p.add_argument("--include-leading-gap", action=argparse.BooleanOptionalAction,
                    help="also fill the gap before the first step")
-    p.add_argument("--max-in-flight", type=int, help="concurrent backend requests")
+    p.add_argument("--max-in-flight", type=int,
+                   help="backend requests in flight at once, across records; output stays "
+                        "in input order, reading up to 4x this many records ahead (default 4)")
     p.add_argument("--retry-limit", type=int,
                    help="HTTP retries of a transient failure after the first attempt "
                         "(http backend; default 2)")
@@ -265,8 +267,8 @@ def cmd_build_fim(cfg: dict[str, Any]) -> int:
     with _open_out(cfg["output"]) as out:
         for row in read_jsonl(cfg["input"]):
             try:
-                chain = StepChain.from_texts(row["steps"])
-                samples = sample_fim(chain, row["question"], sampler, source_id=str(row["id"]))
+                question, chain = chain_record(row)
+                samples = sample_fim(chain, question, sampler, source_id=str(row["id"]))
             except (KeyError, ValueError) as exc:
                 skipped += 1
                 _note(f"build-fim: skipping record {row.get('id')!r}: {exc}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Any
 
 #: Words that start a new step when they open a sentence.
 MARKER_WORDS = frozenset({"first", "next", "then", "finally", "therefore"})
@@ -71,6 +72,18 @@ class StepChain:
 
     def __len__(self) -> int:
         return len(self.texts)
+
+
+def chain_record(row: dict[str, Any]) -> tuple[str, StepChain]:
+    """The question and step chain of a `{question, steps}` record.
+
+    Raises KeyError for a missing field and ValueError for a question
+    that is not a string or steps that do not make a StepChain.
+    """
+    question = row["question"]
+    if not isinstance(question, str):
+        raise ValueError(f"question must be a string, not a {type(question).__name__}")
+    return question, StepChain.from_texts(row["steps"])
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,14 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 from helpers import StubCompletionServer
+
+from stepfim import cli
+from stepfim.backends import OracleBackend
 
 
 def run_cli(*args: str):
@@ -166,6 +171,16 @@ class TestBuildFim:
         assert "3 samples written, 1 records skipped" in result.stderr
         assert {sample["source_id"] for sample in _read_jsonl(out)} == {"c0"}
 
+    def test_non_string_question_is_skipped_and_counted(self, tmp_path):
+        inp, out = tmp_path / "chains.jsonl", tmp_path / "fim.jsonl"
+        _write_jsonl(inp, [{"id": "a", "question": 123, "steps": ["One step here.", "Two step here."]},
+                           CHAIN])
+        result = run_cli("build-fim", "--input", str(inp), "--output", str(out), "--seed", "7")
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
+        assert "question must be a string" in result.stderr
+        assert "3 samples written, 1 records skipped" in result.stderr
+
 
 class TestExpand:
     def test_oracle_backend_restores_dropped_steps(self, synth_dir, tmp_path):
@@ -218,6 +233,35 @@ class TestExpand:
         assert line["error"].startswith("ValueError: ")
         assert line["attempted"] == 0
 
+    def test_non_string_question_passes_through_with_an_error(self, tmp_path):
+        row = {"id": "a", "question": 123, "steps": ["One step here.", "Two step here."]}
+        inp, out, report = tmp_path / "in.jsonl", tmp_path / "out.jsonl", tmp_path / "report.jsonl"
+        _write_jsonl(inp, [row, CHAIN])
+        result = run_cli(
+            "expand", "--input", str(inp), "--output", str(out), "--report", str(report),
+            "--backend", "oracle",
+        )
+        assert result.returncode == 0, result.stderr
+        assert "2 records (1 failed)" in result.stderr
+        assert _read_jsonl(out)[0] == row
+        first, second = _read_jsonl(report)[1:]
+        assert first["error"] == "ValueError: question must be a string, not a int"
+        assert first["attempted"] == 0 and first["proposals"] == []
+        assert second["error"] is None
+
+    def test_malformed_line_mid_file_exits_two(self, synth_dir, tmp_path):
+        inp = tmp_path / "in.jsonl"
+        lines = (synth_dir / "coarse.jsonl").read_text(encoding="utf-8").splitlines()
+        inp.write_text("\n".join(lines[:6] + ['{"id": "cut", "steps": ['] + lines[6:]) + "\n",
+                       encoding="utf-8")
+        result = run_cli(
+            "expand", "--input", str(inp), "--output", str(tmp_path / "out.jsonl"),
+            "--backend", "oracle",
+        )
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+        assert "in.jsonl:7" in result.stderr
+
     @pytest.mark.parametrize("retry_limit, posts", [(None, 3), (0, 1), (4, 5)])
     def test_a_failing_gap_gets_retry_limit_plus_one_posts(self, tmp_path, retry_limit, posts):
         inp, out, report = tmp_path / "in.jsonl", tmp_path / "out.jsonl", tmp_path / "report.jsonl"
@@ -254,6 +298,70 @@ class TestExpand:
         )
         assert result.returncode == 1
         assert "eta" in result.stderr
+
+
+class LatencyOracle:
+    """The oracle behind a sleep that is longest for the earliest records.
+
+    So gaps finish roughly in reverse input order, and a scheduler that
+    handed records back as they completed would reorder the output. Also
+    records the most fills ever running at once.
+    """
+
+    def __init__(self, questions: list[str]):
+        self.delay_s = {q: 0.0005 * (len(questions) - i) for i, q in enumerate(questions)}
+        self.oracle = OracleBackend()
+        self.lock = threading.Lock()
+        self.active = self.peak = 0
+
+    def fill(self, request):
+        with self.lock:
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+        try:
+            time.sleep(self.delay_s[request.question])
+            return self.oracle.fill(request)
+        finally:
+            with self.lock:
+                self.active -= 1
+
+
+class TestExpandScheduling:
+    def test_output_and_report_do_not_depend_on_max_in_flight(self, tmp_path, monkeypatch):
+        synth = tmp_path / "synth"
+        assert run_cli("gen-synth", "--count", "40", "--seed", "5", "--out", str(synth),
+                       "--ops-min", "3", "--ops-max", "6").returncode == 0
+        rows = _read_jsonl(synth / "coarse.jsonl")
+        runs = {}
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for mif in (1, 4, 64):
+                backend = LatencyOracle([row["question"] for row in rows])
+                monkeypatch.setattr(cli, "make_backend", lambda config, backend=backend: backend)
+                out, report = tmp_path / f"out{mif}.jsonl", tmp_path / f"report{mif}.jsonl"
+                code = cli.main([
+                    "expand", "--input", str(synth / "coarse.jsonl"), "--output", str(out),
+                    "--report", str(report), "--backend", "oracle", "--iterations", "2",
+                    "--max-in-flight", str(mif),
+                ])
+                assert code == 0
+                config, _, body = report.read_bytes().partition(b"\n")
+                runs[mif] = out.read_bytes(), body, json.loads(config), backend.peak
+        finally:
+            sys.setswitchinterval(switch)
+
+        assert runs[1][0] == runs[4][0] == runs[64][0] == (synth / "fine.jsonl").read_bytes()
+        assert runs[1][1] == runs[4][1] == runs[64][1]
+        for mif, (_, _, config, _) in runs.items():
+            assert config["config"]["max_in_flight"] == mif
+        report_ids = [json.loads(line)["record_id"] for line in runs[64][1].splitlines()]
+        assert report_ids == [row["id"] for row in rows for _ in range(2)]
+        # more fills at once than any one chain has gaps: several records overlapped
+        most_gaps = max(len(row["steps"]) - 1 for row in _read_jsonl(synth / "fine.jsonl"))
+        assert runs[1][3] == 1
+        assert runs[4][3] <= 4
+        assert most_gaps < runs[64][3] <= 64
 
 
 class TestStatsAndCompare:

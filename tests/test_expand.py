@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import threading
 import time
 
 import pytest
@@ -26,6 +27,7 @@ from stepfim.expand import (
     requests_for_chain,
 )
 from stepfim.fim import FIM_MIDDLE, FIM_PREFIX, FIM_SUFFIX
+from stepfim.jsonl import JsonlError
 
 QUESTION = "What is the value of ((2 + 3) * 4) - 5?"
 FINE = ("Compute 2 + 3 = 5.", "Compute 5 * 4 = 20.", "Compute 20 - 5 = 15.", "The answer is 15.")
@@ -410,6 +412,114 @@ class TestRecordStreams:
 
     def test_empty_corpus_gives_a_zero_report(self):
         assert self._expand([]) == []
+
+
+def _in_thread(fn, timeout=20.0):
+    """fn() on a helper thread; a deadlock fails the test instead of hanging it."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = fn()
+        except BaseException as exc:  # handed to the test thread below
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"still running after {timeout} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+class CountingRows:
+    """A lazy record stream that counts the rows pulled from it."""
+
+    def __init__(self, n, fail_at=None):
+        self.n = n
+        self.fail_at = fail_at
+        self.pulled = 0
+
+    def __iter__(self):
+        for i in range(self.n):
+            if i == self.fail_at:
+                raise JsonlError(f"rows.jsonl:{i + 1}: invalid JSON")
+            self.pulled += 1
+            yield {"id": f"r{i}", "question": QUESTION, "steps": list(FINE)}
+
+
+class SlowBackend:
+    """NoveltyBackend after a short sleep; counts fills started and running."""
+
+    def __init__(self, delay_s=0.005):
+        self.delay_s = delay_s
+        self.lock = threading.Lock()
+        self.started = self.active = 0
+
+    def fill(self, request: FimRequest) -> str:
+        with self.lock:
+            self.started += 1
+            self.active += 1
+        try:
+            time.sleep(self.delay_s)
+            return f"fresh step {request.request_id[:12]}"
+        finally:
+            with self.lock:
+                self.active -= 1
+
+
+class TestSchedulerStreaming:
+    @pytest.mark.parametrize("mif", [1, 4, 16])
+    def test_first_record_arrives_within_the_lookahead(self, mif):
+        rows = CountingRows(200)
+        records = expand_records(iter(rows), SlowBackend(0.0), ExpansionConfig(max_in_flight=mif))
+
+        def first():
+            row, _ = next(records)
+            records.close()
+            return row
+
+        assert _in_thread(first)["id"] == "r0"
+        assert rows.pulled <= 4 * mif + 1
+
+    def test_closing_after_one_record_returns_promptly(self):
+        backend = SlowBackend(0.02)
+        records = expand_records(iter(CountingRows(500)), backend, ExpansionConfig(max_in_flight=4))
+
+        def one_then_close():
+            next(records)
+            records.close()
+
+        _in_thread(one_then_close, timeout=5.0)
+        assert backend.active == 0
+        started = backend.started
+        time.sleep(0.1)
+        assert backend.started == started < 500 * (len(FINE) - 1)
+
+    @pytest.mark.parametrize("mif", [1, 4])
+    def test_input_error_propagates_without_hanging(self, mif):
+        backend = SlowBackend()
+        records = expand_records(iter(CountingRows(50, fail_at=30)), backend,
+                                 ExpansionConfig(max_in_flight=mif))
+        with pytest.raises(JsonlError, match="rows.jsonl:31"):
+            _in_thread(lambda: list(records))
+        assert backend.active == 0
+
+    @pytest.mark.parametrize("mif", [1, 4])
+    def test_a_gap_that_breaks_the_engine_fails_only_its_record(self, mif):
+        class NoneForR1:
+            def fill(self, request: FimRequest):
+                if request.question == "r1?":
+                    return None  # not a string: the engine cannot clean it
+                return f"fresh step {request.request_id[:12]}"
+
+        rows = [{"id": f"r{i}", "question": f"r{i}?", "steps": list(COARSE)} for i in range(3)]
+        out = list(expand_records(rows, NoneForR1(), ExpansionConfig(max_in_flight=mif)))
+        assert [row["id"] for row, _ in out] == ["r0", "r1", "r2"]
+        assert out[1][0] == rows[1]
+        assert "NoneType" in out[1][1][0].error
+        assert len(out[0][0]["steps"]) == len(out[2][0]["steps"]) == 2 * len(COARSE) - 1
 
 
 @st.composite
