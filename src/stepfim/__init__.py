@@ -10,6 +10,7 @@ Pipeline stages, each usable as a library call or a CLI subcommand:
 """
 
 from stepfim.decompose import (
+    STEP_SEPARATOR,
     DecomposeConfig,
     EmptySolution,
     NonTextSolution,

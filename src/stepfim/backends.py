@@ -24,6 +24,7 @@ from typing import Iterable, Protocol
 import requests as _requests
 
 from stepfim import fim, synth
+from stepfim.decompose import STEP_SEPARATOR
 from stepfim.jsonl import read_jsonl
 
 
@@ -64,9 +65,12 @@ class FimRequest:
         return request_id_for(self.question, self.prefix_steps, self.suffix_steps)
 
 
+BACKEND_KINDS = ("http", "oracle", "replay")
+
+
 @dataclass(frozen=True)
 class BackendConfig:
-    kind: str  # http | oracle | replay
+    kind: str  # one of BACKEND_KINDS
     endpoint_url: str = ""
     auth_token_env: str = ""
     timeout_ms: int = 30_000
@@ -74,10 +78,9 @@ class BackendConfig:
     backoff_ms: int = 250
     fixture_path: str = ""
     max_new_chars: int = 2_000
-    temperature: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("http", "oracle", "replay"):
+        if self.kind not in BACKEND_KINDS:
             raise ValueError(f"unknown backend kind {self.kind!r}")
         if self.kind == "http" and not self.endpoint_url:
             raise ValueError("http backend requires endpoint_url")
@@ -127,7 +130,7 @@ class HttpBackend:
     """Completion-endpoint client with bounded retries and backoff.
 
     Wire format: POST endpoint_url with JSON
-    ``{"prompt", "stop", "max_tokens", "temperature"}``; the response JSON
+    ``{"prompt", "stop", "max_tokens", "temperature": 0.0}``; the response JSON
     carries the completion under ``completion`` (or OpenAI-style
     ``choices[0].text``). Auth, when configured, is a bearer token read
     from the environment variable named by ``auth_token_env`` so tokens
@@ -150,8 +153,8 @@ class HttpBackend:
             self._headers["Authorization"] = f"Bearer {token}"
 
     def _prompt(self, request: FimRequest) -> str:
-        prefix = "\n".join(request.prefix_steps)
-        suffix = "\n".join(request.suffix_steps)
+        prefix = STEP_SEPARATOR.join(request.prefix_steps)
+        suffix = STEP_SEPARATOR.join(request.suffix_steps)
         return fim.format_prompt(request.question, prefix, suffix)
 
     def fill(self, request: FimRequest) -> str:
@@ -159,7 +162,7 @@ class HttpBackend:
             "prompt": self._prompt(request),
             "stop": list(fim.SPECIAL_TOKENS),
             "max_tokens": self.config.max_new_chars,
-            "temperature": self.config.temperature,
+            "temperature": 0.0,
         }
         timeout = self.config.timeout_ms / 1000.0
         last_error: Exception | None = None
@@ -191,8 +194,9 @@ class HttpBackend:
             if isinstance(data.get("completion"), str):
                 return data["completion"]
             choices = data.get("choices")
-            if isinstance(choices, list) and choices and isinstance(choices[0].get("text"), str):
-                return choices[0]["text"]
+            first = choices[0] if isinstance(choices, list) and choices else None
+            if isinstance(first, dict) and isinstance(first.get("text"), str):
+                return first["text"]
         raise TransportError("completion response carries no completion text")
 
 

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage or config error, 2 I/O or data error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import socket
@@ -21,13 +22,13 @@ import time
 from typing import Any, Callable, TextIO
 from urllib.parse import urlparse
 
-from stepfim.backends import BackendConfig, BadFixture, make_backend
+from stepfim.backends import BACKEND_KINDS, BackendConfig, BadFixture, make_backend
 from stepfim.decompose import DecomposeConfig, chain_record, decompose
 from stepfim.expand import ExpansionConfig, expand_records
 from stepfim.fim import SamplerConfig, sample_fim
 from stepfim.jsonl import JsonlError, dumps_line, read_jsonl
 from stepfim.stats import CorpusStats, EmptyCorpus, MalformedRecord, diff_stats, stats
-from stepfim.synth import CorpusSpec, generate
+from stepfim.synth import DROP_PATTERNS, CorpusSpec, generate
 
 
 class UsageError(ValueError):
@@ -45,70 +46,19 @@ class BackendUnreachable(RuntimeError):
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; our contract reserves 2 for I/O."""
 
+    commands: dict[str, "_Parser"]  # the subcommand parsers, set by build_parser
+
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-# Per-subcommand defaults. None marks "must be provided by flag or config".
-DEFAULTS: dict[str, dict[str, Any]] = {
-    "decompose": {
-        "input": None,
-        "output": None,
-        "rejects": "",
-        "min_step_chars": 10,
-    },
-    "build-fim": {
-        "input": None,
-        "output": None,
-        "rounds": 3,
-        "seed": None,
-    },
-    "expand": {
-        "input": None,
-        "output": None,
-        "report": "",
-        "backend": None,
-        "eta": 0.8,
-        "iterations": 1,
-        "include_leading_gap": False,
-        "max_in_flight": 4,
-        "retry_limit": 2,
-        "endpoint_url": "",
-        "auth_token_env": "",
-        "timeout_ms": 30_000,
-        "backoff_ms": 250,
-        "fixture_path": "",
-        "max_new_chars": 2_000,
-    },
-    "gen-synth": {
-        "count": None,
-        "seed": None,
-        "out": None,
-        "drop": "every-other",
-        "drop_k": 1,
-        "ops_min": 2,
-        "ops_max": 4,
-        "operand_min": 2,
-        "operand_max": 99,
-        "operators": "+-*",
-    },
-    "stats": {
-        "input": None,
-        "tokenizer": "whitespace",
-        "output": "",
-    },
-    "compare": {
-        "before": None,
-        "after": None,
-        "output": "",
-    },
-}
-
-_ALL_KEYS = {key for table in DEFAULTS.values() for key in table}
-
-
 def build_parser() -> _Parser:
+    """Every option, declared once with its type, choices and default.
+
+    A default of None marks a setting that a flag or the config file must
+    provide. Defaults that feed a config dataclass are read from its field.
+    """
     parser = _Parser(prog="stepfim", description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="flat JSON config file; flags override its values")
     sub = parser.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
@@ -116,60 +66,75 @@ def build_parser() -> _Parser:
     p = sub.add_parser("decompose", help="split solutions into step chains")
     p.add_argument("--input", help="CoT records JSONL: id, question, solution")
     p.add_argument("--output", help="step chains JSONL: id, question, steps")
-    p.add_argument("--rejects", help="where to write records that failed to split")
-    p.add_argument("--min-step-chars", type=int, help="fold shorter fragments into their neighbor")
+    p.add_argument("--rejects", default="", help="where to write records that failed to split")
+    p.add_argument("--min-step-chars", type=int, default=DecomposeConfig.min_step_chars,
+                   help="fold shorter fragments into their neighbor (default %(default)s)")
 
     p = sub.add_parser("build-fim", help="hold out one step per round as the middle")
     p.add_argument("--input", help="step chains JSONL")
     p.add_argument("--output", help="FIM samples JSONL")
-    p.add_argument("--rounds", type=int, help="samples per chain (default 3)")
+    p.add_argument("--rounds", type=int, default=SamplerConfig.rounds,
+                   help="samples per chain (default %(default)s)")
     p.add_argument("--seed", type=int, help="sampling seed (required)")
 
     p = sub.add_parser("expand", help="insert generated intermediate steps")
     p.add_argument("--input", help="step chains JSONL")
     p.add_argument("--output", help="expanded chains JSONL")
-    p.add_argument("--report", help="per-record expansion report JSONL")
-    p.add_argument("--backend", choices=["http", "oracle", "replay"])
-    p.add_argument("--eta", type=float, help="similarity threshold (default 0.8)")
-    p.add_argument("--iterations", type=int, help="expansion rounds (default 1)")
+    p.add_argument("--report", default="", help="per-record expansion report JSONL")
+    p.add_argument("--backend", choices=BACKEND_KINDS)
+    p.add_argument("--eta", type=float, default=ExpansionConfig.eta,
+                   help="similarity threshold (default %(default)s)")
+    p.add_argument("--iterations", type=int, default=ExpansionConfig.iterations,
+                   help="expansion rounds (default %(default)s)")
     p.add_argument("--include-leading-gap", action=argparse.BooleanOptionalAction,
+                   default=ExpansionConfig.include_leading_gap,
                    help="also fill the gap before the first step")
-    p.add_argument("--max-in-flight", type=int,
+    p.add_argument("--max-in-flight", type=int, default=ExpansionConfig.max_in_flight,
                    help="backend requests in flight at once, across records; output stays "
-                        "in input order, reading up to 4x this many records ahead (default 4)")
-    p.add_argument("--retry-limit", type=int,
+                        "in input order, reading up to 4x this many records ahead "
+                        "(default %(default)s)")
+    p.add_argument("--retry-limit", type=int, default=BackendConfig.retry_limit,
                    help="HTTP retries of a transient failure after the first attempt "
-                        "(http backend; default 2)")
-    p.add_argument("--endpoint-url", help="completion endpoint (http backend)")
-    p.add_argument("--auth-token-env", help="env var holding the bearer token (http backend)")
-    p.add_argument("--timeout-ms", type=int)
-    p.add_argument("--backoff-ms", type=int)
-    p.add_argument("--fixture-path", help="recorded responses JSONL (replay backend)")
-    p.add_argument("--max-new-chars", type=int,
+                        "(http backend; default %(default)s)")
+    p.add_argument("--endpoint-url", default=BackendConfig.endpoint_url,
+                   help="completion endpoint (http backend)")
+    p.add_argument("--auth-token-env", default=BackendConfig.auth_token_env,
+                   help="env var holding the bearer token (http backend)")
+    p.add_argument("--timeout-ms", type=int, default=BackendConfig.timeout_ms,
+                   help="per-request timeout (http backend; default %(default)s)")
+    p.add_argument("--backoff-ms", type=int, default=BackendConfig.backoff_ms,
+                   help="wait before retry n is n times this (http backend; default %(default)s)")
+    p.add_argument("--fixture-path", default=BackendConfig.fixture_path,
+                   help="recorded responses JSONL (replay backend)")
+    p.add_argument("--max-new-chars", type=int, default=BackendConfig.max_new_chars,
                    help="sent as the endpoint's max_tokens, and the completion is also cut "
-                        "to this many characters (http backend; default 2000)")
+                        "to this many characters (http backend; default %(default)s)")
 
     p = sub.add_parser("gen-synth", help="generate a verifiable arithmetic corpus")
     p.add_argument("--count", type=int, help="number of problems (required)")
     p.add_argument("--seed", type=int, help="generation seed (required)")
     p.add_argument("--out", help="output directory for coarse/fine/dropped JSONL")
-    p.add_argument("--drop", choices=["every-other", "random-k"], help="which fine steps to omit")
-    p.add_argument("--drop-k", type=int, help="steps to omit per problem (random-k)")
-    p.add_argument("--ops-min", type=int)
-    p.add_argument("--ops-max", type=int)
-    p.add_argument("--operand-min", type=int)
-    p.add_argument("--operand-max", type=int)
-    p.add_argument("--operators", help="operator characters, e.g. '+-*'")
+    p.add_argument("--drop", choices=DROP_PATTERNS, default=CorpusSpec.drop,
+                   help="which fine steps to omit (default %(default)s)")
+    p.add_argument("--drop-k", type=int, default=CorpusSpec.drop_k,
+                   help="steps to omit per problem (random-k; default %(default)s)")
+    p.add_argument("--ops-min", type=int, default=CorpusSpec.ops_min)
+    p.add_argument("--ops-max", type=int, default=CorpusSpec.ops_max)
+    p.add_argument("--operand-min", type=int, default=CorpusSpec.operand_min)
+    p.add_argument("--operand-max", type=int, default=CorpusSpec.operand_max)
+    p.add_argument("--operators", default="".join(CorpusSpec.operators),
+                   help="operator characters (default '%(default)s')")
 
     p = sub.add_parser("stats", help="summarize a step-chain corpus")
     p.add_argument("--input", help="step chains JSONL")
-    p.add_argument("--tokenizer", help="token counting scheme (default whitespace)")
-    p.add_argument("--output", help="write the JSON summary here instead of stdout")
+    p.add_argument("--tokenizer", default="whitespace",
+                   help="token counting scheme (default %(default)s)")
+    p.add_argument("--output", default="", help="write the JSON summary here instead of stdout")
 
     p = sub.add_parser("compare", help="percentage deltas between two stats files")
     p.add_argument("--before", help="stats JSON file")
     p.add_argument("--after", help="stats JSON file")
-    p.add_argument("--output", help="write the JSON delta here instead of stdout")
+    p.add_argument("--output", default="", help="write the JSON delta here instead of stdout")
 
     # accept --config after the subcommand too; SUPPRESS keeps an absent
     # trailing flag from clobbering one given before the subcommand
@@ -177,10 +142,35 @@ def build_parser() -> _Parser:
         p.add_argument("--config", default=argparse.SUPPRESS,
                        help="flat JSON config file; flags override its values")
 
+    parser.commands = sub.choices
     return parser
 
 
-def _load_config_file(path: str) -> dict[str, Any]:
+def _options(command: _Parser) -> list[argparse.Action]:
+    """The settings of one subcommand, in declaration order."""
+    return [action for action in command._actions if action.dest not in ("help", "config")]
+
+
+# Per-subcommand defaults, read off the parser. None marks "must be
+# provided by flag or config".
+DEFAULTS: dict[str, dict[str, Any]] = {
+    cmd: {action.dest: action.default for action in _options(command)}
+    for cmd, command in build_parser().commands.items()
+}
+
+_ALL_KEYS = {key for table in DEFAULTS.values() for key in table}
+
+# the JSON types a config-file value may take, by its flag's type
+_VALUE_KINDS: dict[Any, tuple[tuple[type, ...], str]] = {
+    bool: ((bool,), "true or false"),
+    int: ((int,), "an int"),
+    float: ((int, float), "a number"),
+    None: ((str,), "a string"),
+}
+
+
+def _load_config_file(path: str, command: _Parser) -> dict[str, Any]:
+    """The file's values for this subcommand, each checked as its flag is."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
@@ -191,24 +181,38 @@ def _load_config_file(path: str) -> dict[str, Any]:
     unknown = sorted(set(data) - _ALL_KEYS)
     if unknown:
         raise UsageError(f"config file {path}: unknown keys {unknown}")
-    return data
+    checked = {}
+    for action in _options(command):
+        if action.dest not in data:
+            continue
+        value = data[action.dest]
+        flag_type = bool if isinstance(action, argparse.BooleanOptionalAction) else action.type
+        allowed, kind = _VALUE_KINDS[flag_type]
+        choices = action.choices
+        if choices is not None:
+            kind = f"one of {list(choices)}"
+        # JSON decodes to exact builtin types, so true is no int here
+        if type(value) not in allowed or (choices is not None and value not in choices):
+            raise UsageError(
+                f"config file {path}: {action.dest} must be {kind}, not {json.dumps(value)}"
+            )
+        checked[action.dest] = value
+    return checked
 
 
-def effective_config(cmd: str, args: argparse.Namespace, file_cfg: dict[str, Any]) -> dict[str, Any]:
-    """defaults <- config file <- explicit flags, for this subcommand's keys."""
-    merged = dict(DEFAULTS[cmd])
-    for key in merged:
-        if key in file_cfg:
-            merged[key] = file_cfg[key]
-    for key in merged:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    missing = sorted(key for key, value in merged.items() if value is None)
+def effective_config(cmd: str, args: argparse.Namespace) -> dict[str, Any]:
+    """This subcommand's settings from parsed args, with none left unset."""
+    cfg = {key: getattr(args, key) for key in DEFAULTS[cmd]}
+    missing = sorted(key for key, value in cfg.items() if value is None)
     if missing:
         flags = ", ".join("--" + key.replace("_", "-") for key in missing)
         raise UsageError(f"{cmd} requires {flags} (by flag or config file)")
-    return merged
+    return cfg
+
+
+def _fields_of(config_class: type, cfg: dict[str, Any]) -> dict[str, Any]:
+    """The settings that share a name with a field of the config dataclass."""
+    return {f.name: cfg[f.name] for f in dataclasses.fields(config_class) if f.name in cfg}
 
 
 def _echo_config(cmd: str, cfg: dict[str, Any]) -> None:
@@ -293,25 +297,11 @@ def _probe_endpoint(url: str, timeout_s: float = 5.0) -> None:
 
 
 def cmd_expand(cfg: dict[str, Any]) -> int:
-    bconf = BackendConfig(
-        kind=cfg["backend"],
-        endpoint_url=cfg["endpoint_url"],
-        auth_token_env=cfg["auth_token_env"],
-        timeout_ms=cfg["timeout_ms"],
-        retry_limit=cfg["retry_limit"],
-        backoff_ms=cfg["backoff_ms"],
-        fixture_path=cfg["fixture_path"],
-        max_new_chars=cfg["max_new_chars"],
-    )
+    bconf = BackendConfig(kind=cfg["backend"], **_fields_of(BackendConfig, cfg))
     if bconf.kind == "http":
         _probe_endpoint(bconf.endpoint_url)
     backend = make_backend(bconf)
-    econf = ExpansionConfig(
-        eta=cfg["eta"],
-        iterations=cfg["iterations"],
-        include_leading_gap=cfg["include_leading_gap"],
-        max_in_flight=cfg["max_in_flight"],
-    )
+    econf = ExpansionConfig(**_fields_of(ExpansionConfig, cfg))
 
     counts = {"records": 0, "failed_records": 0, "inserted": 0, "invalid": 0,
               "malformed": 0, "errored": 0}
@@ -332,9 +322,7 @@ def cmd_expand(cfg: dict[str, Any]) -> int:
                     counts["malformed"] += report.malformed
                     counts["errored"] += report.errored
                     if report_handle is not None:
-                        report_handle.write(
-                            dumps_line(report.to_dict(include_timing=False))
-                        )
+                        report_handle.write(dumps_line(report.to_dict()))
     finally:
         if report_handle is not None:
             report_handle.close()
@@ -348,20 +336,8 @@ def cmd_expand(cfg: dict[str, Any]) -> int:
 
 
 def cmd_gen_synth(cfg: dict[str, Any]) -> int:
-    operators = cfg["operators"]
-    if isinstance(operators, str):
-        operators = tuple(ch for ch in operators if ch not in ", ")
-    spec = CorpusSpec(
-        count=cfg["count"],
-        seed=cfg["seed"],
-        ops_min=cfg["ops_min"],
-        ops_max=cfg["ops_max"],
-        operand_min=cfg["operand_min"],
-        operand_max=cfg["operand_max"],
-        operators=tuple(operators),
-        drop=cfg["drop"],
-        drop_k=cfg["drop_k"],
-    )
+    operators = tuple(ch for ch in cfg["operators"] if ch not in ", ")
+    spec = CorpusSpec(**{**_fields_of(CorpusSpec, cfg), "operators": operators})
     problems = generate(spec)
     os.makedirs(cfg["out"], exist_ok=True)
     paths = {name: os.path.join(cfg["out"], f"{name}.jsonl") for name in ("coarse", "fine", "dropped")}
@@ -421,8 +397,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        file_cfg = _load_config_file(args.config) if args.config else {}
-        cfg = effective_config(args.cmd, args, file_cfg)
+        if args.config:
+            # checked file values stand in for the defaults: flags still win
+            command = parser.commands[args.cmd]
+            command.set_defaults(**_load_config_file(args.config, command))
+            args = parser.parse_args(argv)
+        cfg = effective_config(args.cmd, args)
         _echo_config(args.cmd, cfg)
         return HANDLERS[args.cmd](cfg)
     except UsageError as exc:

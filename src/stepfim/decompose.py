@@ -13,6 +13,10 @@ import re
 from dataclasses import dataclass
 from typing import Any
 
+#: Joins the steps of a chain into one text, everywhere: `join`, the
+#: prefix and suffix of FIM samples and prompts, and `stats` token counts.
+STEP_SEPARATOR = "\n"
+
 #: Words that start a new step when they open a sentence.
 MARKER_WORDS = frozenset({"first", "next", "then", "finally", "therefore"})
 
@@ -50,10 +54,9 @@ def normalize_ws(text: str) -> str:
 
 @dataclass(frozen=True)
 class StepChain:
-    """Ordered, nonempty tuple of step texts plus the canonical join separator."""
+    """Ordered, nonempty tuple of step texts."""
 
     texts: tuple[str, ...]
-    separator: str = "\n"
 
     def __post_init__(self) -> None:
         if not self.texts:
@@ -65,10 +68,10 @@ class StepChain:
                 raise ValueError(f"step {pos} is empty or untrimmed")
 
     @classmethod
-    def from_texts(cls, texts: list[str] | tuple[str, ...], separator: str = "\n") -> "StepChain":
+    def from_texts(cls, texts: list[str] | tuple[str, ...]) -> "StepChain":
         if not isinstance(texts, (list, tuple)):
             raise ValueError(f"steps must be a list of strings, not a {type(texts).__name__}")
-        return cls(tuple(texts), separator)
+        return cls(tuple(texts))
 
     def __len__(self) -> int:
         return len(self.texts)
@@ -91,7 +94,6 @@ class DecomposeConfig:
     """Knobs for the rule-based splitter."""
 
     min_step_chars: int = 10
-    separator: str = "\n"
 
 
 def _scan_math_spans(text: str) -> list[tuple[int, int]]:
@@ -279,9 +281,9 @@ def decompose(solution: str, config: DecomposeConfig | None = None) -> StepChain
         prev = b
 
     segments = _merge_fragments(segments, config.min_step_chars)
-    return StepChain.from_texts(segments, separator=config.separator)
+    return StepChain.from_texts(segments)
 
 
 def join(chain: StepChain) -> str:
-    """Concatenate step texts with the chain separator."""
-    return chain.separator.join(chain.texts)
+    """Concatenate step texts with STEP_SEPARATOR."""
+    return STEP_SEPARATOR.join(chain.texts)

@@ -54,25 +54,19 @@ LOOKAHEAD = 4
 class ExpansionConfig:
     """Engine knobs."""
 
-    eta: float = 0.8
+    eta: float = GateConfig.eta
     iterations: int = 1
     include_leading_gap: bool = False
     max_in_flight: int = 4
 
     def __post_init__(self) -> None:
         GateConfig(self.eta)  # range check
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "eta": self.eta,
-            "iterations": self.iterations,
-            "include_leading_gap": self.include_leading_gap,
-            "max_in_flight": self.max_in_flight,
-        }
+        for name in ("iterations", "max_in_flight"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, not a {type(value).__name__}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -92,8 +86,9 @@ class GapProposal:
     latency_ms: float
     error: str | None = None
 
-    def to_dict(self, include_timing: bool = True) -> dict[str, Any]:
-        row: dict[str, Any] = {
+    def to_dict(self) -> dict[str, Any]:
+        """Everything but `latency_ms`, so report files stay byte-stable."""
+        return {
             "gap_index": self.gap_index,
             "request_id": self.request_id,
             "candidate": self.candidate,
@@ -101,9 +96,6 @@ class GapProposal:
             "decision": self.decision,
             "error": self.error,
         }
-        if include_timing:
-            row["latency_ms"] = round(self.latency_ms, 3)
-        return row
 
 
 @dataclass(frozen=True)
@@ -127,8 +119,8 @@ class ExpansionReport:
         if self.attempted != self.inserted + self.invalid + self.malformed + self.errored:
             raise ValueError("gap decisions do not add up to the attempt count")
 
-    def to_dict(self, include_proposals: bool = True, include_timing: bool = True) -> dict[str, Any]:
-        """Timing fields are optional so report files can stay byte-stable."""
+    def to_dict(self, include_proposals: bool = True) -> dict[str, Any]:
+        """Everything but `elapsed_ms`, so report files stay byte-stable."""
         row: dict[str, Any] = {
             "record_id": self.record_id,
             "iteration": self.iteration,
@@ -141,10 +133,8 @@ class ExpansionReport:
             "errored": self.errored,
             "error": self.error,
         }
-        if include_timing:
-            row["elapsed_ms"] = round(self.elapsed_ms, 3)
         if include_proposals:
-            row["proposals"] = [p.to_dict(include_timing=include_timing) for p in self.proposals]
+            row["proposals"] = [p.to_dict() for p in self.proposals]
         return row
 
 
@@ -247,7 +237,7 @@ class _Job:
             if idx0 + 1 in accepted:
                 out_texts.append(accepted[idx0 + 1])
             out_texts.append(text)
-        expanded = StepChain.from_texts(out_texts, separator=self.chain.separator)
+        expanded = StepChain.from_texts(out_texts)
 
         counts = {d: 0 for d in DECISIONS}
         for p in proposals:

@@ -16,7 +16,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 
-from stepfim.decompose import StepChain
+from stepfim.decompose import STEP_SEPARATOR, StepChain
 
 FIM_PREFIX = "<|fim_prefix|>"
 FIM_SUFFIX = "<|fim_suffix|>"
@@ -126,9 +126,9 @@ def parse_psm(psm_text: str) -> tuple[str, str, str]:
     return prefix, suffix, middle
 
 
-def reassemble(prefix: str, middle: str, suffix: str, separator: str = "\n") -> str:
+def reassemble(prefix: str, middle: str, suffix: str) -> str:
     """Rejoin a sample's segments into the original chain text."""
-    return separator.join(part for part in (prefix, middle, suffix) if part)
+    return STEP_SEPARATOR.join(part for part in (prefix, middle, suffix) if part)
 
 
 def _round_key(seed: int, source_id: str, round_index: int) -> int:
@@ -152,14 +152,13 @@ def sample_fim(
     """
     texts = chain.texts
     n = len(texts)
-    sep = chain.separator
     samples = []
     for r in range(config.rounds):
         rng = random.Random(_round_key(config.seed, source_id, r))
         i = rng.randrange(n)
-        prefix = sep.join(texts[:i])
+        prefix = STEP_SEPARATOR.join(texts[:i])
         middle = texts[i]
-        suffix = sep.join(texts[i + 1 :])
+        suffix = STEP_SEPARATOR.join(texts[i + 1 :])
         psm_text, start, end = format_psm(question, prefix, suffix, middle)
         samples.append(
             FimSample(

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
+from stepfim.decompose import STEP_SEPARATOR
+
 Tokenizer = Callable[[str], int]
 
 
@@ -101,11 +103,7 @@ class StatsDelta:
         }
 
 
-def stats(
-    records: Iterable[dict[str, Any]],
-    tokenizer_id: str = "whitespace",
-    separator: str = "\n",
-) -> CorpusStats:
+def stats(records: Iterable[dict[str, Any]], tokenizer_id: str = "whitespace") -> CorpusStats:
     """One-pass statistics over `{id, question, steps}` records.
 
     Tokens are counted on the joined solution steps only; the question
@@ -125,7 +123,7 @@ def stats(
         if not isinstance(steps, (list, tuple)):
             raise MalformedRecord(f"record {samples + 1}: steps is a {type(steps).__name__}, not a list")
         try:
-            text = separator.join(steps)
+            text = STEP_SEPARATOR.join(steps)
         except TypeError as exc:
             raise MalformedRecord(f"record {samples + 1}: steps must all be strings: {exc}") from exc
         samples += 1

@@ -19,6 +19,7 @@ from stepfim.decompose import StepChain
 from stepfim.similarity import similarity
 
 ALLOWED_OPERATORS = ("+", "-", "*")
+DROP_PATTERNS = ("every-other", "random-k")
 
 QUESTION_TEMPLATE = "What is the value of {expr}?"
 STEP_TEMPLATE = "Compute {a} {op} {b} = {c}."
@@ -55,7 +56,7 @@ class CorpusSpec:
     operand_min: int = 2
     operand_max: int = 99
     operators: tuple[str, ...] = ALLOWED_OPERATORS
-    drop: str = "every-other"  # or "random-k"
+    drop: str = "every-other"  # one of DROP_PATTERNS
     drop_k: int = 1
 
     def __post_init__(self) -> None:
@@ -71,7 +72,7 @@ class CorpusSpec:
             raise SpecError("operator set is empty")
         if any(op not in ALLOWED_OPERATORS for op in self.operators):
             raise SpecError(f"operators must be among {ALLOWED_OPERATORS}")
-        if self.drop not in ("every-other", "random-k"):
+        if self.drop not in DROP_PATTERNS:
             raise SpecError(f"unknown drop pattern {self.drop!r}")
         if self.drop == "random-k" and self.drop_k < 1:
             raise SpecError("drop_k must be >= 1")

@@ -121,7 +121,8 @@ class TestRecordFixtures:
         record_fixtures(self._requests(), OracleBackend(), path_b)
         with open(path_a, encoding="utf-8") as fa, open(path_b, encoding="utf-8") as fb:
             assert fa.read() == fb.read()
-        ids = [json.loads(line)["request_id"] for line in open(path_a, encoding="utf-8")]
+        with open(path_a, encoding="utf-8") as fa:
+            ids = [json.loads(line)["request_id"] for line in fa]
         assert ids == [r.request_id for r in self._requests()[:2]]
 
     def test_partial_file_survives_a_live_error(self, tmp_path):
@@ -208,9 +209,10 @@ class TestHttpBackend:
                 HttpBackend(_http_config(server.url)).fill(_request())
 
     def test_json_without_completion_text_is_a_transport_error(self):
-        with StubCompletionServer([(200, {"result": "wrong shape"})]) as server:
-            with pytest.raises(TransportError):
-                HttpBackend(_http_config(server.url)).fill(_request())
+        for body in ({"result": "wrong shape"}, {"choices": ["text"]}):
+            with StubCompletionServer([(200, body)]) as server:
+                with pytest.raises(TransportError, match="carries no completion text"):
+                    HttpBackend(_http_config(server.url)).fill(_request())
 
     def test_connection_refused_raises_after_retries(self):
         backend = HttpBackend(_http_config("http://127.0.0.1:9/refused", retry_limit=1))

@@ -15,12 +15,12 @@ from stepfim import cli
 from stepfim.backends import OracleBackend
 
 
-def run_cli(*args: str):
+def run_cli(*args: str, timeout: float = 120):
     return subprocess.run(
         [sys.executable, "-m", "stepfim", *args],
         capture_output=True,
         text=True,
-        timeout=120,
+        timeout=timeout,
     )
 
 
@@ -509,6 +509,40 @@ class TestExitCodesAndConfig:
         if "--rejects" in argv:
             (reject,) = _read_jsonl(paths["rej"])
             assert reject["error"].startswith("NonTextSolution: ")
+
+    @pytest.mark.parametrize(
+        "cmd, file_cfg, code",
+        [
+            pytest.param("expand", {"max_in_flight": "4"}, 1, id="int-flag-given-a-string"),
+            pytest.param("expand", {"iterations": 1.5}, 1, id="int-flag-given-a-float"),
+            pytest.param("stats", {"input": 0}, 1, id="path-flag-given-an-int"),
+            pytest.param("expand", {"include_leading_gap": "no"}, 1, id="bool-flag-given-a-string"),
+            pytest.param("expand", {"backend": "gpt"}, 1, id="not-one-of-the-choices"),
+            pytest.param("build-fim", {"seed": "7"}, 1, id="seed-given-a-string"),
+            pytest.param("expand", {"eta": 1}, 0, id="float-flag-given-an-int"),
+            pytest.param("expand", {"include_leading_gap": True}, 0, id="bool-flag-given-true"),
+        ],
+    )
+    def test_config_values_are_checked_like_flags(self, synth_dir, tmp_path, cmd, file_cfg, code):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(file_cfg), encoding="utf-8")
+        argv = {
+            "expand": ["--input", str(synth_dir / "coarse.jsonl"), "--output", str(tmp_path / "out.jsonl")],
+            "build-fim": ["--input", str(synth_dir / "fine.jsonl"), "--output", str(tmp_path / "fim.jsonl")],
+            "stats": [],
+        }[cmd]
+        if cmd == "expand" and "backend" not in file_cfg:
+            argv += ["--backend", "oracle"]
+        # a float round count used to expand forever
+        result = run_cli(cmd, "--config", str(cfg), *argv, timeout=60)
+        assert result.returncode == code, result.stderr
+        assert "Traceback" not in result.stderr
+        ((key, value),) = file_cfg.items()
+        if code:
+            (error,) = [line for line in result.stderr.splitlines() if line.startswith("error:")]
+            assert key in error
+        else:
+            assert json.loads(result.stderr.splitlines()[0])["config"][key] == value
 
     def test_config_file_must_be_a_json_object(self, tmp_path):
         cfg = tmp_path / "run.json"

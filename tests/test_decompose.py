@@ -168,10 +168,6 @@ class TestChainType:
         with pytest.raises(ValueError):
             StepChain.from_texts(steps)
 
-    def test_join_uses_separator(self):
-        chain = StepChain.from_texts(["a", "b"], separator=" | ")
-        assert join(chain) == "a | b"
-
 
 _SENTENCE_BANK = [
     "First we write down the given quantities.",

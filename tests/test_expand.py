@@ -253,8 +253,8 @@ class TestConcurrency:
             QUESTION, chain, Jittery(), ExpansionConfig(max_in_flight=7)
         )
         assert serial.texts == wide.texts
-        assert [p.to_dict(include_timing=False) for p in serial_report.proposals] == [
-            p.to_dict(include_timing=False) for p in wide_report.proposals
+        assert [p.to_dict() for p in serial_report.proposals] == [
+            p.to_dict() for p in wide_report.proposals
         ]
 
     def test_proposals_are_reported_in_gap_order(self):
@@ -271,9 +271,7 @@ class TestIterations:
         )
         assert iterated.texts == single.texts
         assert len(reports) == 1
-        assert reports[0].to_dict(include_timing=False) == single_report.to_dict(
-            include_timing=False
-        )
+        assert reports[0].to_dict() == single_report.to_dict()
 
     def test_each_round_feeds_the_next(self):
         chain = _chain(FINE)
@@ -329,12 +327,11 @@ class TestReports:
 
     def test_timing_fields_can_be_left_out_of_serialization(self):
         _, report = expand_chain(QUESTION, _chain(), NoveltyBackend(), ExpansionConfig())
-        row = report.to_dict(include_timing=False)
+        assert report.elapsed_ms > 0
+        assert report.proposals and all(p.latency_ms >= 0 for p in report.proposals)
+        row = report.to_dict()
         assert "elapsed_ms" not in row
-        assert all("latency_ms" not in p for p in row["proposals"])
-        timed = report.to_dict()
-        assert "elapsed_ms" in timed
-        assert all("latency_ms" in p for p in timed["proposals"])
+        assert row["proposals"] and all("latency_ms" not in p for p in row["proposals"])
 
 
 class TestConfigValidation:
@@ -346,16 +343,13 @@ class TestConfigValidation:
             {"eta": -0.2},
             {"iterations": 0},
             {"max_in_flight": 0},
+            {"iterations": 1.5},
+            {"max_in_flight": "4"},
         ],
     )
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ExpansionConfig(**kwargs)
-
-    def test_round_trips_to_a_plain_dict(self):
-        config = ExpansionConfig(eta=0.7, iterations=2, max_in_flight=2)
-        assert ExpansionConfig(**config.to_dict()) == config
-        assert list(config.to_dict()) == ["eta", "iterations", "include_leading_gap", "max_in_flight"]
 
 
 class TestRecordStreams:

@@ -19,7 +19,8 @@ def test_write_then_read_round_trip(tmp_path):
 def test_one_line_per_row_and_no_ascii_escaping(tmp_path):
     path = str(tmp_path / "rows.jsonl")
     write_jsonl(path, [{"q": "What is 7 × 8?"}])
-    raw = open(path, encoding="utf-8").read()
+    with open(path, encoding="utf-8") as handle:
+        raw = handle.read()
     assert raw == '{"q": "What is 7 × 8?"}\n'
     assert "\\u" not in raw
 
@@ -28,7 +29,8 @@ def test_dumps_line_matches_file_format(tmp_path):
     row = {"a": 1, "text": "π"}
     path = str(tmp_path / "one.jsonl")
     write_jsonl(path, [row])
-    assert open(path, encoding="utf-8").read() == dumps_line(row)
+    with open(path, encoding="utf-8") as handle:
+        assert handle.read() == dumps_line(row)
 
 
 def test_blank_lines_are_skipped(tmp_path):
@@ -71,4 +73,5 @@ def test_round_trip_preserves_key_order(tmp_path):
     row = {"z": 1, "a": 2, "m": 3}
     path = str(tmp_path / "order.jsonl")
     write_jsonl(path, [row])
-    assert list(json.loads(open(path, encoding="utf-8").read())) == ["z", "a", "m"]
+    with open(path, encoding="utf-8") as handle:
+        assert list(json.loads(handle.read())) == ["z", "a", "m"]
