@@ -80,9 +80,12 @@ class StepChain:
 def chain_record(row: dict[str, Any]) -> tuple[str, StepChain]:
     """The question and step chain of a `{question, steps}` record.
 
-    Raises KeyError for a missing field and ValueError for a question
-    that is not a string or steps that do not make a StepChain.
+    Raises KeyError for a missing field and ValueError for an id that is
+    not a str or an int, a non-string question, or bad steps.
     """
+    record_id = row.get("id", "")
+    if isinstance(record_id, bool) or not isinstance(record_id, (str, int)):
+        raise ValueError(f"id must be a string or an int, not a {type(record_id).__name__}")
     question = row["question"]
     if not isinstance(question, str):
         raise ValueError(f"question must be a string, not a {type(question).__name__}")

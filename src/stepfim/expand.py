@@ -5,13 +5,12 @@ for the step that might be missing there (prefix = steps before the gap,
 suffix = the full remaining tail), gates the candidate by similarity to
 the step that follows, and inserts the survivors.
 
-One scheduler runs the gaps of every record in a run: up to
-`max_in_flight` gap requests are in flight at once, drawn from as many
-records as it takes, while each record still takes its rounds one at a
-time. Records are read at most 4 * max_in_flight ahead of the one handed
-back next, and are handed back in input order. Insertion order and
-output depend only on the inputs, the backend's responses, and the
-config, never on `max_in_flight` or on which request finished first.
+One scheduler runs every gap of a run: `max_in_flight` worker threads
+take queued gaps, earliest record first, while each record takes its
+rounds one at a time. The calling thread reads records at most
+4 * max_in_flight ahead, wakes once per finished record, hands them back
+in input order and raises a fill's BaseException. Output never depends
+on `max_in_flight` or on which request finished first.
 
 Decisions recorded per gap:
 
@@ -25,13 +24,12 @@ Decisions recorded per gap:
 from __future__ import annotations
 
 import heapq
+import threading
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
-from contextlib import closing, nullcontext
+from contextlib import closing
 from dataclasses import dataclass, field, replace
-from functools import partial
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from stepfim import fim
 from stepfim.backends import FimBackend, FimRequest
@@ -260,61 +258,85 @@ class _Job:
 def _schedule(jobs: Iterable[_Job], backend: FimBackend, config: ExpansionConfig) -> Iterator[_Job]:
     """Yield each job once all its rounds are decided, in the order given.
 
-    At most `max_in_flight` gaps are handed to the pool at once, the
-    earliest job's first, so closing this generator or an error from
-    `jobs` waits on no more than that many fills. Jobs are pulled from
-    `jobs` only while fewer than LOOKAHEAD * max_in_flight of them wait
-    to be yielded. A job whose decision handling raises is marked failed
-    and yielded in its place; its remaining gaps are dropped.
+    Workers fill the earliest job's gaps without the lock (one slot fills
+    on this thread); stopping waits only on running fills. This thread
+    alone pulls `jobs`, at most LOOKAHEAD * max_in_flight ahead, and wakes
+    once per done job. A job whose decision raises fails alone; a fill's
+    BaseException is raised here.
     """
     slots = config.max_in_flight
     jobs = iter(jobs)
     window: deque[_Job] = deque()
     queued: list[tuple[int, int, FimRequest, _Job]] = []  # heap: earliest job, then gap
-    running: dict[Future, tuple[int, _Job]] = {}
+    lock = threading.Lock()
+    gap_queued = threading.Condition(lock)  # workers wait here
+    job_done = threading.Condition(lock)  # the calling thread waits here
     admitted = 0
-    exhausted = False
+    stopping = False
+    fault: BaseException | None = None
 
     def enqueue(rank: int, job: _Job) -> None:
         for gap_index, request in job.requests:
             heapq.heappush(queued, (rank, gap_index, request, job))
+        gap_queued.notify(len(job.requests))
 
-    def decide(rank: int, job: _Job, proposal: Callable[[], GapProposal]) -> None:
+    def run_gap() -> None:  # entered and left with the lock held
+        rank, gap_index, request, job = heapq.heappop(queued)
         if job.done:
             return
+        lock.release()
         try:
-            if job.take(proposal()):
+            try:
+                proposal = _propose(backend, gap_index, request, config)
+            finally:
+                lock.acquire()
+            if not job.done and job.take(proposal):  # done: another of its gaps failed
                 enqueue(rank, job)
         except Exception as exc:
-            job.error = exc
+            job.error = job.error or exc
+        if job.done:
+            job_done.notify()
 
-    # one slot runs each gap on this thread, as it arrives
-    with ThreadPoolExecutor(max_workers=slots) if slots > 1 else nullcontext() as pool:
+    def work() -> None:
+        nonlocal fault
+        with lock:
+            try:
+                while not stopping:
+                    if queued:
+                        run_gap()
+                    else:
+                        gap_queued.wait()
+            except BaseException as exc:  # raised again on the calling thread
+                fault = exc
+                job_done.notify()
+
+    # daemon: a generator left open must not hold up interpreter exit
+    workers = [threading.Thread(target=work, daemon=True) for _ in range(slots if slots > 1 else 0)]
+    step = job_done.wait if workers else run_gap
+    try:
+        for worker in workers:
+            worker.start()
         while True:
-            while not exhausted and len(window) < LOOKAHEAD * slots:
-                job = next(jobs, None)
-                if job is None:
-                    exhausted = True
-                else:
-                    window.append(job)
+            while len(window) < LOOKAHEAD * slots and (job := next(jobs, None)) is not None:
+                window.append(job)
+                with lock:
                     enqueue(admitted, job)
-                    admitted += 1
-            while queued and len(running) < slots:
-                rank, gap_index, request, job = heapq.heappop(queued)
-                if pool is None:
-                    decide(rank, job, partial(_propose, backend, gap_index, request, config))
-                elif not job.done:
-                    future = pool.submit(_propose, backend, gap_index, request, config)
-                    running[future] = (rank, job)
-            if window and window[0].done:
-                yield window.popleft()
-                continue
-            if not running:
+                admitted += 1
+            with lock:
+                while window and not window[0].done and fault is None:
+                    step()
+                if fault is not None:
+                    raise fault
+            if not window:
                 return
-            finished, _ = wait(running, return_when=FIRST_COMPLETED)
-            for future in finished:
-                rank, job = running.pop(future)
-                decide(rank, job, future.result)
+            yield window.popleft()
+    finally:
+        with lock:
+            stopping = True
+            gap_queued.notify_all()
+        for worker in workers:
+            if worker.is_alive():  # not if it failed to start
+                worker.join()
 
 
 def _expand_one(

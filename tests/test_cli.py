@@ -37,6 +37,18 @@ def _read_jsonl(path):
 
 CHAIN = {"id": "c0", "question": "What is 2 + 3?", "steps": ["Add 2 and 3.", "The answer is 5."]}
 
+# records whose id or question is present but of the wrong type, and the reason given
+BAD_ID_OR_QUESTION = [
+    ({"id": "a", "question": 123, "steps": ["One step here.", "Two step here."]},
+     "question must be a string, not a int"),
+    ({"id": {"a": 1}, "question": "q?", "steps": ["One step here.", "Two step here."]},
+     "id must be a string or an int, not a dict"),
+    ({"id": True, "question": "q?", "steps": ["One step here.", "Two step here."]},
+     "id must be a string or an int, not a bool"),
+    ({"id": [1], "question": "q?", "steps": ["One step here.", "Two step here."]},
+     "id must be a string or an int, not a list"),
+]
+
 
 @pytest.fixture
 def synth_dir(tmp_path):
@@ -173,13 +185,14 @@ class TestBuildFim:
 
     def test_non_string_question_is_skipped_and_counted(self, tmp_path):
         inp, out = tmp_path / "chains.jsonl", tmp_path / "fim.jsonl"
-        _write_jsonl(inp, [{"id": "a", "question": 123, "steps": ["One step here.", "Two step here."]},
-                           CHAIN])
+        _write_jsonl(inp, [row for row, _ in BAD_ID_OR_QUESTION] + [CHAIN])
         result = run_cli("build-fim", "--input", str(inp), "--output", str(out), "--seed", "7")
         assert result.returncode == 0, result.stderr
         assert "Traceback" not in result.stderr
-        assert "question must be a string" in result.stderr
-        assert "3 samples written, 1 records skipped" in result.stderr
+        for _, message in BAD_ID_OR_QUESTION:
+            assert message in result.stderr
+        assert f"3 samples written, {len(BAD_ID_OR_QUESTION)} records skipped" in result.stderr
+        assert {sample["source_id"] for sample in _read_jsonl(out)} == {"c0"}
 
 
 class TestExpand:
@@ -234,20 +247,21 @@ class TestExpand:
         assert line["attempted"] == 0
 
     def test_non_string_question_passes_through_with_an_error(self, tmp_path):
-        row = {"id": "a", "question": 123, "steps": ["One step here.", "Two step here."]}
+        rows = [row for row, _ in BAD_ID_OR_QUESTION]
         inp, out, report = tmp_path / "in.jsonl", tmp_path / "out.jsonl", tmp_path / "report.jsonl"
-        _write_jsonl(inp, [row, CHAIN])
+        _write_jsonl(inp, rows + [CHAIN])
         result = run_cli(
             "expand", "--input", str(inp), "--output", str(out), "--report", str(report),
             "--backend", "oracle",
         )
         assert result.returncode == 0, result.stderr
-        assert "2 records (1 failed)" in result.stderr
-        assert _read_jsonl(out)[0] == row
-        first, second = _read_jsonl(report)[1:]
-        assert first["error"] == "ValueError: question must be a string, not a int"
-        assert first["attempted"] == 0 and first["proposals"] == []
-        assert second["error"] is None
+        assert f"{len(rows) + 1} records ({len(rows)} failed)" in result.stderr
+        assert _read_jsonl(out)[:-1] == rows
+        *failed, last = _read_jsonl(report)[1:]
+        for line, (_, message) in zip(failed, BAD_ID_OR_QUESTION, strict=True):
+            assert line["error"] == f"ValueError: {message}"
+            assert line["attempted"] == 0 and line["proposals"] == []
+        assert last["error"] is None
 
     def test_malformed_line_mid_file_exits_two(self, synth_dir, tmp_path):
         inp = tmp_path / "in.jsonl"

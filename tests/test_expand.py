@@ -500,6 +500,38 @@ class TestSchedulerStreaming:
             _in_thread(lambda: list(records))
         assert backend.active == 0
 
+    def test_fills_go_on_while_the_caller_holds_a_record(self):
+        backend = SlowBackend(0.005)
+        records = expand_records(iter(CountingRows(200)), backend, ExpansionConfig(max_in_flight=4))
+
+        def hold_one_then_close():
+            next(records)
+            time.sleep(0.3)
+            records.close()
+
+        _in_thread(hold_one_then_close, timeout=5.0)
+        assert 2 * 4 < backend.started <= (4 * 4 + 1) * (len(FINE) - 1)
+
+    @pytest.mark.parametrize("mif", [1, 4])
+    def test_a_base_exception_from_a_fill_reaches_the_caller(self, mif):
+        class Abort(BaseException):
+            pass
+
+        class AbortOnR5(SlowBackend):
+            def fill(self, request: FimRequest) -> str:
+                if request.question == "r5?":
+                    raise Abort()
+                return super().fill(request)
+
+        rows = [{"id": f"r{i}", "question": f"r{i}?", "steps": list(FINE)} for i in range(40)]
+        backend = AbortOnR5(0.001)
+        with pytest.raises(Abort):
+            _in_thread(lambda: list(expand_records(rows, backend, ExpansionConfig(max_in_flight=mif))))
+        assert backend.active == 0
+        started = backend.started
+        time.sleep(0.05)
+        assert backend.started == started
+
     @pytest.mark.parametrize("mif", [1, 4])
     def test_a_gap_that_breaks_the_engine_fails_only_its_record(self, mif):
         class NoneForR1:
