@@ -139,9 +139,9 @@ class HttpBackend:
 
     RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 
-    def __init__(self, config: BackendConfig, session: _requests.Session | None = None):
+    def __init__(self, config: BackendConfig):
         self.config = config
-        self._session = session or _requests.Session()
+        self._session = _requests.Session()
         adapter = _requests.adapters.HTTPAdapter(pool_connections=8, pool_maxsize=32)
         self._session.mount("http://", adapter)
         self._session.mount("https://", adapter)

@@ -23,7 +23,7 @@ from typing import Any, Callable, TextIO
 from urllib.parse import urlparse
 
 from stepfim.backends import BACKEND_KINDS, BackendConfig, BadFixture, make_backend
-from stepfim.decompose import DecomposeConfig, chain_record, decompose
+from stepfim.decompose import DecomposeConfig, chain_record, decompose, record_question
 from stepfim.expand import ExpansionConfig, expand_records
 from stepfim.fim import SamplerConfig, sample_fim
 from stepfim.jsonl import JsonlError, dumps_line, read_jsonl
@@ -247,7 +247,7 @@ def cmd_decompose(cfg: dict[str, Any]) -> int:
                 try:
                     chain = decompose(row["solution"], dconf)
                     line = dumps_line(
-                        {"id": row["id"], "question": row["question"], "steps": list(chain.texts)}
+                        {"id": row["id"], "question": record_question(row), "steps": list(chain.texts)}
                     )
                 except (KeyError, ValueError) as exc:
                     rejected += 1

@@ -33,6 +33,10 @@ _STEP_MARKER_RE = re.compile(r"Step \d+[:.]")
 _SENTENCE_END_RE = re.compile(r"[.!?]")
 _WORD_AFTER_RE = re.compile(r"[A-Za-z]+")
 _PUNCT_ONLY_RE = re.compile(r"[\W_]+$")
+_OPENER_RE = re.compile(r"\\begin\{|\\[\s\S]|\$\$?")
+_ENV_TAG_RE = re.compile(r"\\(begin|end)\{")
+_DOLLAR_CLOSE_RE = re.compile(r"(?<!\\)\$")
+_CLOSERS = {"$$": "$$", "\\(": "\\)", "\\[": "\\]"}
 
 
 class EmptySolution(ValueError):
@@ -77,19 +81,25 @@ class StepChain:
         return len(self.texts)
 
 
-def chain_record(row: dict[str, Any]) -> tuple[str, StepChain]:
-    """The question and step chain of a `{question, steps}` record.
+def record_id(row: dict[str, Any]) -> str | None:
+    """A record's id as a string ("" when missing), None when not a str or an int."""
+    value = row.get("id", "")
+    return str(value) if isinstance(value, (str, int)) and not isinstance(value, bool) else None
 
-    Raises KeyError for a missing field and ValueError for an id that is
-    not a str or an int, a non-string question, or bad steps.
-    """
-    record_id = row.get("id", "")
-    if isinstance(record_id, bool) or not isinstance(record_id, (str, int)):
-        raise ValueError(f"id must be a string or an int, not a {type(record_id).__name__}")
+
+def record_question(row: dict[str, Any]) -> str:
+    """A record's question; KeyError when missing, ValueError for a bad id or question."""
+    if record_id(row) is None:
+        raise ValueError(f"id must be a string or an int, not a {type(row['id']).__name__}")
     question = row["question"]
     if not isinstance(question, str):
         raise ValueError(f"question must be a string, not a {type(question).__name__}")
-    return question, StepChain.from_texts(row["steps"])
+    return question
+
+
+def chain_record(row: dict[str, Any]) -> tuple[str, StepChain]:
+    """The question and step chain of a record; KeyError or ValueError when malformed."""
+    return record_question(row), StepChain.from_texts(row["steps"])
 
 
 @dataclass(frozen=True)
@@ -99,83 +109,50 @@ class DecomposeConfig:
     min_step_chars: int = 10
 
 
+def _env_end(text: str, start: int) -> int:
+    """End of the \\begin block at `start`, nesting included; each tag skips to its "}"."""
+    depth = 0
+    pos = start
+    while (tag := _ENV_TAG_RE.search(text, pos)) is not None:
+        depth += 1 if tag.group(1) == "begin" else -1
+        close = text.find("}", tag.start())
+        pos = close + 1 if close >= 0 else len(text)
+        if depth == 0:
+            return pos
+    raise UnbalancedMath(f"unclosed \\begin at offset {start}")
+
+
 def _scan_math_spans(text: str) -> list[tuple[int, int]]:
     """Return [start, end) spans of protected math-mode content.
 
     Protected delimiters: $...$, $$...$$, \\(...\\), \\[...\\] and
-    \\begin{ENV}...\\end{ENV} (nesting allowed). Raises UnbalancedMath
-    when an opener is never closed.
+    \\begin{ENV}...\\end{ENV} (nesting allowed). One regex search finds
+    the next opener or backslash pair, so \\$ and \\\\ stay plain text.
+    The closer is then found with `str.find`, with a search for a `$` that
+    no backslash precedes, or by walking the \\begin/\\end tags. Raises
+    UnbalancedMath when an opener is never closed.
     """
     spans: list[tuple[int, int]] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\\" and i + 1 < n:
-            nxt = text[i + 1]
-            if nxt == "$":  # escaped dollar, not a delimiter
-                i += 2
-                continue
-            if nxt == "(":
-                end = text.find("\\)", i + 2)
-                if end < 0:
-                    raise UnbalancedMath(f"unclosed \\( at offset {i}")
-                spans.append((i, end + 2))
-                i = end + 2
-                continue
-            if nxt == "[":
-                end = text.find("\\]", i + 2)
-                if end < 0:
-                    raise UnbalancedMath(f"unclosed \\[ at offset {i}")
-                spans.append((i, end + 2))
-                i = end + 2
-                continue
-            if text.startswith("\\begin{", i):
-                j = i
-                depth = 0
-                while j < n:
-                    if text.startswith("\\begin{", j):
-                        depth += 1
-                        j = text.index("}", j) + 1 if "}" in text[j:] else n
-                    elif text.startswith("\\end{", j):
-                        depth -= 1
-                        close = text.find("}", j)
-                        j = close + 1 if close >= 0 else n
-                        if depth == 0:
-                            break
-                    else:
-                        j += 1
-                if depth != 0:
-                    raise UnbalancedMath(f"unclosed \\begin at offset {i}")
-                spans.append((i, j))
-                i = j
-                continue
-            i += 2
+    pos = 0
+    while (opener := _OPENER_RE.search(text, pos)) is not None:
+        start, token = opener.start(), opener.group()
+        pos = opener.end()
+        if token in _CLOSERS:
+            close = text.find(_CLOSERS[token], pos)
+            if close < 0:
+                raise UnbalancedMath(f"unclosed {token} at offset {start}")
+            pos = close + 2
+        elif token == "$":
+            close = _DOLLAR_CLOSE_RE.search(text, pos)
+            if close is None:
+                raise UnbalancedMath(f"unclosed $ at offset {start}")
+            pos = close.end()
+        elif token == "\\begin{":
+            pos = _env_end(text, start)
+        else:  # any other backslash pair is plain text
             continue
-        if ch == "$":
-            if text.startswith("$$", i):
-                end = text.find("$$", i + 2)
-                if end < 0:
-                    raise UnbalancedMath(f"unclosed $$ at offset {i}")
-                spans.append((i, end + 2))
-                i = end + 2
-                continue
-            end = i + 1
-            while end < n:
-                if text[end] == "$" and text[end - 1] != "\\":
-                    break
-                end += 1
-            if end >= n:
-                raise UnbalancedMath(f"unclosed $ at offset {i}")
-            spans.append((i, end + 1))
-            i = end + 1
-            continue
-        i += 1
+        spans.append((start, pos))
     return spans
-
-
-def _in_any_span(pos: int, spans: list[tuple[int, int]]) -> bool:
-    return any(start <= pos < end for start, end in spans)
 
 
 def _word_before(text: str, period_pos: int) -> str:
@@ -188,16 +165,22 @@ def _word_before(text: str, period_pos: int) -> str:
 def _find_breaks(text: str, spans: list[tuple[int, int]]) -> list[int]:
     """Positions in `text` where a new step starts.
 
-    Each break position is preceded by exactly one space (the text is
-    whitespace-normalized), so slicing at breaks and rstripping loses
-    only that separator space.
+    Candidates are searched in a copy of `text` whose math spans are
+    blanked to NUL, so none falls inside a formula; the checks on each
+    candidate read the original text. Each break position is preceded by
+    exactly one space (the text is whitespace-normalized), so slicing at
+    breaks and rstripping loses only that separator space.
     """
+    pieces: list[str] = []
+    prev = 0
+    for start, end in spans:
+        pieces += (text[prev:start], "\0" * (end - start))
+        prev = end
+    masked = "".join(pieces) + text[prev:]
     breaks: set[int] = set()
 
-    for match in _SENTENCE_END_RE.finditer(text):
+    for match in _SENTENCE_END_RE.finditer(masked):
         p = match.start()
-        if _in_any_span(p, spans):
-            continue
         if p + 2 >= len(text) or text[p + 1] != " ":
             continue
         # decimals like 3.5 carry no space after the period, so they never
@@ -210,11 +193,9 @@ def _find_breaks(text: str, spans: list[tuple[int, int]]) -> list[int]:
         if nxt.isupper() or is_marker:
             breaks.add(p + 2)
 
-    for match in _STEP_MARKER_RE.finditer(text):
+    for match in _STEP_MARKER_RE.finditer(masked):
         q = match.start()
-        if q == 0 or _in_any_span(q, spans):
-            continue
-        if text[q - 1] == " ":
+        if q > 0 and text[q - 1] == " ":
             breaks.add(q)
 
     return sorted(breaks)
@@ -223,28 +204,21 @@ def _find_breaks(text: str, spans: list[tuple[int, int]]) -> list[int]:
 def _merge_fragments(segments: list[str], min_chars: int) -> list[str]:
     """Fold too-short or punctuation-only segments into their neighbor.
 
-    Merging concatenates with a single space, which restores exactly the
+    A small segment joins the step before it, and a small first step takes
+    in the segments after it until it is no longer small. Merging
+    concatenates with a single space, which restores exactly the
     separator dropped at the split, so round-tripping stays byte-exact.
     """
+
+    def small(seg: str) -> bool:
+        return len(seg) < min_chars or _PUNCT_ONLY_RE.fullmatch(seg) is not None
+
     merged: list[str] = []
-    carry = ""  # leading fragment waiting for a segment to attach to
     for seg in segments:
-        if carry:
-            seg = carry + " " + seg
-            carry = ""
-        too_small = len(seg) < min_chars or _PUNCT_ONLY_RE.fullmatch(seg) is not None
-        if too_small:
-            if merged:
-                merged[-1] = merged[-1] + " " + seg
-            else:
-                carry = seg
+        if merged and (small(seg) or small(merged[-1])):
+            merged[-1] += " " + seg
         else:
             merged.append(seg)
-    if carry:
-        if merged:
-            merged[-1] = merged[-1] + " " + carry
-        else:
-            merged.append(carry)
     return merged
 
 

@@ -33,7 +33,7 @@ from typing import Any, Iterable, Iterator
 
 from stepfim import fim
 from stepfim.backends import FimBackend, FimRequest
-from stepfim.decompose import StepChain, chain_record
+from stepfim.decompose import StepChain, chain_record, record_id
 from stepfim.similarity import GateConfig, gate
 
 VALID = "valid"
@@ -418,12 +418,12 @@ def expand_records(
     with closing(_schedule(_admit(records, config), backend, config)) as jobs:
         for job in jobs:
             row = job.row
-            record_id = str(row.get("id", ""))
+            row_id = record_id(row)
             if job.error is not None:
                 steps = row.get("steps")
                 n = len(steps) if isinstance(steps, list) else 0
                 failure = ExpansionReport(
-                    record_id=record_id,
+                    record_id=row_id,
                     input_steps=n,
                     output_steps=n,
                     error=f"{type(job.error).__name__}: {job.error}",
@@ -432,4 +432,4 @@ def expand_records(
                 continue
             out = dict(row)
             out["steps"] = list(job.chain.texts)
-            yield out, [replace(r, record_id=record_id) for r in job.reports]
+            yield out, [replace(r, record_id=row_id) for r in job.reports]

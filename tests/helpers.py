@@ -1,19 +1,43 @@
-"""Shared test infrastructure: an independent similarity reference and a
-scriptable HTTP completion stub.
+"""Shared test infrastructure: an independent similarity reference, a
+reference step splitter and a scriptable HTTP completion stub.
 
 The similarity reference is a from-scratch dynamic-programming
 implementation of the recursive longest-matching-block ratio, kept free
 of difflib so the production function is checked against genuinely
 independent arithmetic.
+
+The splitter reference keeps, verbatim, the character-at-a-time
+math-span scanner, the per-break span check and the carry-based fragment
+merge that `stepfim.decompose` replaced with regex searches over a
+masked copy and a single merge pass. `reference_decompose` runs
+`decompose` with them, so the search-based splitter is checked against
+the walking one on spans, breaks, chains and error messages.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from unittest import mock
 
 import numpy as np
+
+from stepfim.decompose import (
+    ABBREVIATIONS,
+    MARKER_WORDS,
+    _PUNCT_ONLY_RE,
+    _SENTENCE_END_RE,
+    _STEP_MARKER_RE,
+    _WORD_AFTER_RE,
+    StepChain,
+    UnbalancedMath,
+    _word_before,
+)
+
+# `stepfim.decompose` the module: the package re-exports the function under that name
+decompose_module = importlib.import_module("stepfim.decompose")
 
 
 def _normalize_ws(text: str) -> str:
@@ -73,6 +97,159 @@ def reference_ratio(a: str, b: str) -> float:
     b_codes = np.array([ord(c) for c in b_norm], dtype=np.int64)
     matched = _total_matched(a_codes, b_codes, 0, len(a_codes), 0, len(b_codes))
     return 2.0 * matched / (len(a_codes) + len(b_codes))
+
+
+def _scan_math_spans(text: str) -> list[tuple[int, int]]:
+    """Return [start, end) spans of protected math-mode content.
+
+    Protected delimiters: $...$, $$...$$, \\(...\\), \\[...\\] and
+    \\begin{ENV}...\\end{ENV} (nesting allowed). Raises UnbalancedMath
+    when an opener is never closed.
+    """
+    spans: list[tuple[int, int]] = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\\" and i + 1 < n:
+            nxt = text[i + 1]
+            if nxt == "$":  # escaped dollar, not a delimiter
+                i += 2
+                continue
+            if nxt == "(":
+                end = text.find("\\)", i + 2)
+                if end < 0:
+                    raise UnbalancedMath(f"unclosed \\( at offset {i}")
+                spans.append((i, end + 2))
+                i = end + 2
+                continue
+            if nxt == "[":
+                end = text.find("\\]", i + 2)
+                if end < 0:
+                    raise UnbalancedMath(f"unclosed \\[ at offset {i}")
+                spans.append((i, end + 2))
+                i = end + 2
+                continue
+            if text.startswith("\\begin{", i):
+                j = i
+                depth = 0
+                while j < n:
+                    if text.startswith("\\begin{", j):
+                        depth += 1
+                        j = text.index("}", j) + 1 if "}" in text[j:] else n
+                    elif text.startswith("\\end{", j):
+                        depth -= 1
+                        close = text.find("}", j)
+                        j = close + 1 if close >= 0 else n
+                        if depth == 0:
+                            break
+                    else:
+                        j += 1
+                if depth != 0:
+                    raise UnbalancedMath(f"unclosed \\begin at offset {i}")
+                spans.append((i, j))
+                i = j
+                continue
+            i += 2
+            continue
+        if ch == "$":
+            if text.startswith("$$", i):
+                end = text.find("$$", i + 2)
+                if end < 0:
+                    raise UnbalancedMath(f"unclosed $$ at offset {i}")
+                spans.append((i, end + 2))
+                i = end + 2
+                continue
+            end = i + 1
+            while end < n:
+                if text[end] == "$" and text[end - 1] != "\\":
+                    break
+                end += 1
+            if end >= n:
+                raise UnbalancedMath(f"unclosed $ at offset {i}")
+            spans.append((i, end + 1))
+            i = end + 1
+            continue
+        i += 1
+    return spans
+
+
+def _in_any_span(pos: int, spans: list[tuple[int, int]]) -> bool:
+    return any(start <= pos < end for start, end in spans)
+
+
+def _find_breaks(text: str, spans: list[tuple[int, int]]) -> list[int]:
+    """Positions in `text` where a new step starts.
+
+    Each break position is preceded by exactly one space (the text is
+    whitespace-normalized), so slicing at breaks and rstripping loses
+    only that separator space.
+    """
+    breaks: set[int] = set()
+
+    for match in _SENTENCE_END_RE.finditer(text):
+        p = match.start()
+        if _in_any_span(p, spans):
+            continue
+        if p + 2 >= len(text) or text[p + 1] != " ":
+            continue
+        # decimals like 3.5 carry no space after the period, so they never
+        # reach this point; abbreviations do and are skipped explicitly
+        if text[p] == "." and _word_before(text, p) in ABBREVIATIONS:
+            continue
+        nxt = text[p + 2]
+        word = _WORD_AFTER_RE.match(text, p + 2)
+        is_marker = word is not None and word.group(0).lower() in MARKER_WORDS
+        if nxt.isupper() or is_marker:
+            breaks.add(p + 2)
+
+    for match in _STEP_MARKER_RE.finditer(text):
+        q = match.start()
+        if q == 0 or _in_any_span(q, spans):
+            continue
+        if text[q - 1] == " ":
+            breaks.add(q)
+
+    return sorted(breaks)
+
+
+def _merge_fragments(segments: list[str], min_chars: int) -> list[str]:
+    """Fold too-short or punctuation-only segments into their neighbor.
+
+    Merging concatenates with a single space, which restores exactly the
+    separator dropped at the split, so round-tripping stays byte-exact.
+    """
+    merged: list[str] = []
+    carry = ""  # leading fragment waiting for a segment to attach to
+    for seg in segments:
+        if carry:
+            seg = carry + " " + seg
+            carry = ""
+        too_small = len(seg) < min_chars or _PUNCT_ONLY_RE.fullmatch(seg) is not None
+        if too_small:
+            if merged:
+                merged[-1] = merged[-1] + " " + seg
+            else:
+                carry = seg
+        else:
+            merged.append(seg)
+    if carry:
+        if merged:
+            merged[-1] = merged[-1] + " " + carry
+        else:
+            merged.append(carry)
+    return merged
+
+
+def reference_decompose(solution, config=None) -> StepChain:
+    """`decompose` with the reference scanner and break finder swapped in."""
+    with mock.patch.multiple(
+        decompose_module,
+        _scan_math_spans=_scan_math_spans,
+        _find_breaks=_find_breaks,
+        _merge_fragments=_merge_fragments,
+    ):
+        return decompose_module.decompose(solution, config)
 
 
 class _StubHandler(BaseHTTPRequestHandler):

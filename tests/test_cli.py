@@ -140,6 +140,24 @@ class TestDecompose:
         assert len(_read_jsonl(out)) == 2
         assert "1 records rejected" in result.stderr
 
+    def test_bad_id_or_question_goes_to_rejects(self, tmp_path):
+        rows = [
+            {"id": row["id"], "question": row["question"], "solution": " ".join(row["steps"])}
+            for row, _ in BAD_ID_OR_QUESTION
+        ]
+        inp, out, rej = tmp_path / "cot.jsonl", tmp_path / "chains.jsonl", tmp_path / "rej.jsonl"
+        _write_jsonl(inp, rows + self._cot_rows())
+        result = run_cli(
+            "decompose", "--input", str(inp), "--output", str(out), "--rejects", str(rej)
+        )
+        assert result.returncode == 0, result.stderr
+        assert [row["id"] for row in _read_jsonl(out)] == ["c0", "c1"]
+        rejects = _read_jsonl(rej)
+        assert [{k: v for k, v in r.items() if k != "error"} for r in rejects] == rows
+        for line, (_, message) in zip(rejects, BAD_ID_OR_QUESTION, strict=True):
+            assert line["error"] == f"ValueError: {message}"
+        assert f"2 chains written, {len(rows)} records rejected" in result.stderr
+
 
 class TestBuildFim:
     def test_emits_rounds_samples_per_chain(self, synth_dir, tmp_path):
@@ -261,7 +279,8 @@ class TestExpand:
         for line, (_, message) in zip(failed, BAD_ID_OR_QUESTION, strict=True):
             assert line["error"] == f"ValueError: {message}"
             assert line["attempted"] == 0 and line["proposals"] == []
-        assert last["error"] is None
+        assert [line["record_id"] for line in failed] == ["a", None, None, None]
+        assert last["error"] is None and last["record_id"] == "c0"
 
     def test_malformed_line_mid_file_exits_two(self, synth_dir, tmp_path):
         inp = tmp_path / "in.jsonl"

@@ -5,14 +5,21 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from helpers import (
+    _find_breaks as reference_breaks,
+    _scan_math_spans as reference_spans,
+    reference_decompose,
+)
 from stepfim.decompose import (
     DecomposeConfig,
     EmptySolution,
     NonTextSolution,
     StepChain,
     UnbalancedMath,
+    _find_breaks,
+    _scan_math_spans,
     decompose,
     join,
     normalize_ws,
@@ -118,6 +125,54 @@ class TestMathProtection:
     def test_unclosed_environment_raises(self):
         with pytest.raises(UnbalancedMath):
             decompose("We start \\begin{align}x = 2 and never close the block.")
+
+
+# delimiters, half-delimiters and break triggers the splitter has to tell apart
+_MATH_ATOMS = [
+    "$", "$$", "\\(", "\\)", "\\[", "\\]", "\\begin{a}", "\\end{a}", "\\begin{", "\\end{",
+    "{", "}", "\\$", "\\", "\\\\", ".", "!", "?", " ", "  ", "\n", "Step 1:", "Step 2.",
+    "e.g.", "Dr.", "3.5", "x", "A", "Then", "then", "First", "Therefore",
+]
+
+
+def _outcome(split, text):
+    """What `split(text)` returns, or the type and message of what it raises."""
+    try:
+        return split(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestMatchesWalkingSplitter:
+    """The search-based splitter against the character-walking reference in helpers."""
+
+    @settings(max_examples=1500)
+    @given(
+        st.lists(st.sampled_from(_MATH_ATOMS), max_size=40).map("".join),
+        st.sampled_from([0, 3, 10, 30]),
+    )
+    def test_spans_breaks_and_chains_match_the_reference(self, text, min_step_chars):
+        spans = _outcome(_scan_math_spans, text)
+        assert spans == _outcome(reference_spans, text)
+        if isinstance(spans, list):
+            assert _find_breaks(text, spans) == reference_breaks(text, spans)
+        config = DecomposeConfig(min_step_chars=min_step_chars)
+        chain = _outcome(lambda t: decompose(t, config).texts, text)
+        assert chain == _outcome(lambda t: reference_decompose(t, config).texts, text)
+
+    def test_end_tag_inside_an_open_begin_tag_is_skipped(self):
+        text = "Let \\begin{a\\end{b} x = 1. Then y is done here."
+        with pytest.raises(UnbalancedMath, match=r"^unclosed \\begin at offset 4$"):
+            decompose(text)
+
+    def test_lone_end_tag_is_plain_text(self):
+        text = "Open \\end{x without close. Then go on."
+        assert _scan_math_spans(text) == []
+        assert texts(text) == ["Open \\end{x without close.", "Then go on."]
+
+    def test_trailing_backslash_is_plain_text(self):
+        text = "Trailing backslash here. Then it ends \\"
+        assert texts(text) == ["Trailing backslash here.", "Then it ends \\"]
 
 
 class TestFragments:
