@@ -91,11 +91,23 @@ class BackendConfig:
 
 
 class FimBackend(Protocol):
+    """Anything with a `fill` method.
+
+    A backend may also set the class attribute `waits`. `waits = False`
+    declares that a fill never waits on anything outside the interpreter
+    (it computes its answer in-process), so `expand` runs every fill on the
+    calling thread: more threads would only take turns on the interpreter
+    lock. A backend without the attribute is taken to wait (a network call,
+    a sleep) and gets `max_in_flight` worker threads.
+    """
+
     def fill(self, request: FimRequest) -> str: ...
 
 
 class OracleBackend:
     """Perfect filler for synthetic questions; pure and thread-safe."""
+
+    waits = False
 
     def fill(self, request: FimRequest) -> str:
         return synth.oracle_fill(request.question, request.prefix_steps, request.suffix_steps)
@@ -103,6 +115,8 @@ class OracleBackend:
 
 class ReplayBackend:
     """Serves recorded responses keyed by request_id."""
+
+    waits = False
 
     def __init__(self, mapping: dict[str, str]):
         self._mapping = mapping
@@ -137,6 +151,7 @@ class HttpBackend:
     never appear on command lines.
     """
 
+    waits = True
     RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 
     def __init__(self, config: BackendConfig):

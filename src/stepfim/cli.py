@@ -24,7 +24,7 @@ from urllib.parse import urlparse
 
 from stepfim.backends import BACKEND_KINDS, BackendConfig, BadFixture, make_backend
 from stepfim.decompose import DecomposeConfig, chain_record, decompose, record_question
-from stepfim.expand import ExpansionConfig, expand_records
+from stepfim.expand import ExpansionConfig, expand_records, fill_slots
 from stepfim.fim import SamplerConfig, sample_fim
 from stepfim.jsonl import JsonlError, dumps_line, read_jsonl
 from stepfim.stats import CorpusStats, EmptyCorpus, MalformedRecord, diff_stats, stats
@@ -90,9 +90,10 @@ def build_parser() -> _Parser:
                    default=ExpansionConfig.include_leading_gap,
                    help="also fill the gap before the first step")
     p.add_argument("--max-in-flight", type=int, default=ExpansionConfig.max_in_flight,
-                   help="backend requests in flight at once, across records; output stays "
-                        "in input order, reading up to 4x this many records ahead "
-                        "(default %(default)s)")
+                   help="backend requests in flight at once, across records, for a backend "
+                        "that waits (http); oracle and replay fill one gap at a time on "
+                        "the main thread; output stays in input order, reading up to 4 "
+                        "records per request ahead (default %(default)s)")
     p.add_argument("--retry-limit", type=int, default=BackendConfig.retry_limit,
                    help="HTTP retries of a transient failure after the first attempt "
                         "(http backend; default %(default)s)")
@@ -246,8 +247,9 @@ def cmd_decompose(cfg: dict[str, Any]) -> int:
             for row in read_jsonl(cfg["input"]):
                 try:
                     chain = decompose(row["solution"], dconf)
+                    question = record_question(row)
                     line = dumps_line(
-                        {"id": row["id"], "question": record_question(row), "steps": list(chain.texts)}
+                        {"id": row["id"], "question": question, "steps": list(chain.texts)}
                     )
                 except (KeyError, ValueError) as exc:
                     rejected += 1
@@ -302,6 +304,7 @@ def cmd_expand(cfg: dict[str, Any]) -> int:
         _probe_endpoint(bconf.endpoint_url)
     backend = make_backend(bconf)
     econf = ExpansionConfig(**_fields_of(ExpansionConfig, cfg))
+    slots = fill_slots(backend, econf)
 
     counts = {"records": 0, "failed_records": 0, "inserted": 0, "invalid": 0,
               "malformed": 0, "errored": 0}
@@ -330,7 +333,9 @@ def cmd_expand(cfg: dict[str, Any]) -> int:
     _note(
         "expand: {records} records ({failed_records} failed), "
         "{inserted} inserted / {invalid} invalid / {malformed} malformed / "
-        "{errored} errored, {secs:.2f}s".format(secs=elapsed, **counts)
+        "{errored} errored, {secs:.2f}s, {slots} request{s} in flight at most".format(
+            secs=elapsed, slots=slots, s="" if slots == 1 else "s", **counts
+        )
     )
     return 0
 

@@ -82,14 +82,17 @@ class StepChain:
 
 
 def record_id(row: dict[str, Any]) -> str | None:
-    """A record's id as a string ("" when missing), None when not a str or an int."""
-    value = row.get("id", "")
+    """A record's id as a string; None when missing or not a str or an int."""
+    value = row.get("id")
     return str(value) if isinstance(value, (str, int)) and not isinstance(value, bool) else None
 
 
 def record_question(row: dict[str, Any]) -> str:
-    """A record's question; KeyError when missing, ValueError for a bad id or question."""
+    """A record's question; KeyError when it is missing, ValueError for a missing or bad id
+    or a bad question."""
     if record_id(row) is None:
+        if "id" not in row:
+            raise ValueError("id is missing")
         raise ValueError(f"id must be a string or an int, not a {type(row['id']).__name__}")
     question = row["question"]
     if not isinstance(question, str):

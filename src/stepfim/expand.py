@@ -5,12 +5,16 @@ for the step that might be missing there (prefix = steps before the gap,
 suffix = the full remaining tail), gates the candidate by similarity to
 the step that follows, and inserts the survivors.
 
-One scheduler runs every gap of a run: `max_in_flight` worker threads
-take queued gaps, earliest record first, while each record takes its
-rounds one at a time. The calling thread reads records at most
-4 * max_in_flight ahead, wakes once per finished record, hands them back
-in input order and raises a fill's BaseException. Output never depends
-on `max_in_flight` or on which request finished first.
+One scheduler runs every gap of a run: for a backend whose fills wait
+(http, or any backend without `waits = False`), `max_in_flight` worker
+threads take queued gaps, earliest record first, while each record takes
+its rounds one at a time. The calling thread reads records at most
+4 per fill slot ahead, wakes once per finished record, hands them back
+in input order and raises a fill's BaseException. An in-process backend
+(oracle, replay) never waits, so it fills every gap on the calling thread,
+one at a time, whatever `max_in_flight` is: under the interpreter lock more
+threads would only take turns. Output never depends on `max_in_flight` or
+on which request finished first.
 
 Decisions recorded per gap:
 
@@ -255,16 +259,24 @@ class _Job:
         self.chain = expanded
 
 
+def fill_slots(backend: FimBackend, config: ExpansionConfig) -> int:
+    """Fills a run keeps going at once: `max_in_flight`, or 1 for a backend
+    that declares `waits = False`, whose fills would only take turns on the
+    interpreter lock."""
+    return config.max_in_flight if getattr(backend, "waits", True) else 1
+
+
 def _schedule(jobs: Iterable[_Job], backend: FimBackend, config: ExpansionConfig) -> Iterator[_Job]:
     """Yield each job once all its rounds are decided, in the order given.
 
-    Workers fill the earliest job's gaps without the lock (one slot fills
-    on this thread); stopping waits only on running fills. This thread
-    alone pulls `jobs`, at most LOOKAHEAD * max_in_flight ahead, and wakes
-    once per done job. A job whose decision raises fails alone; a fill's
-    BaseException is raised here.
+    With more than one fill slot (see `fill_slots`), workers fill the
+    earliest job's gaps without the lock; with one, every gap is filled on
+    this thread and no thread starts. Stopping waits only on running fills.
+    This thread alone pulls `jobs`, at most LOOKAHEAD * slots ahead, and
+    wakes once per done job. A job whose decision raises fails alone; a
+    fill's BaseException is raised here.
     """
-    slots = config.max_in_flight
+    slots = fill_slots(backend, config)
     jobs = iter(jobs)
     window: deque[_Job] = deque()
     queued: list[tuple[int, int, FimRequest, _Job]] = []  # heap: earliest job, then gap
@@ -407,11 +419,12 @@ def expand_records(
 
     This is the one expansion path for the CLI and for library callers;
     corpus totals are the caller's sum over the yielded reports. Up to
-    `max_in_flight` gaps of different records are in flight at once, and
-    records are read at most 4 * max_in_flight ahead of the one yielded
-    next. A record that cannot be expanded (bad shape, backend misuse) is
-    yielded unchanged with a zero-count report carrying the error, so a
-    single poisoned record never aborts a batch run.
+    `fill_slots(backend, config)` gaps of different records are in flight
+    at once (`max_in_flight`, or 1 for an in-process backend), and records
+    are read at most 4 per slot ahead of the one yielded next. A record
+    that cannot be expanded (bad shape, backend misuse) is yielded
+    unchanged with a zero-count report carrying the error, so a single
+    poisoned record never aborts a batch run.
     """
     if config is None:
         config = ExpansionConfig()

@@ -11,8 +11,8 @@ import time
 import pytest
 from helpers import StubCompletionServer
 
-from stepfim import cli
-from stepfim.backends import OracleBackend
+from stepfim import backends, cli, synth
+from stepfim.backends import OracleBackend, ReplayBackend, request_id_for
 
 
 def run_cli(*args: str, timeout: float = 120):
@@ -37,7 +37,7 @@ def _read_jsonl(path):
 
 CHAIN = {"id": "c0", "question": "What is 2 + 3?", "steps": ["Add 2 and 3.", "The answer is 5."]}
 
-# records whose id or question is present but of the wrong type, and the reason given
+# records whose id is missing or whose id or question has the wrong type, and the reason given
 BAD_ID_OR_QUESTION = [
     ({"id": "a", "question": 123, "steps": ["One step here.", "Two step here."]},
      "question must be a string, not a int"),
@@ -47,6 +47,7 @@ BAD_ID_OR_QUESTION = [
      "id must be a string or an int, not a bool"),
     ({"id": [1], "question": "q?", "steps": ["One step here.", "Two step here."]},
      "id must be a string or an int, not a list"),
+    ({"question": "q?", "steps": ["One step here.", "Two step here."]}, "id is missing"),
 ]
 
 
@@ -142,7 +143,7 @@ class TestDecompose:
 
     def test_bad_id_or_question_goes_to_rejects(self, tmp_path):
         rows = [
-            {"id": row["id"], "question": row["question"], "solution": " ".join(row["steps"])}
+            {**{k: v for k, v in row.items() if k != "steps"}, "solution": " ".join(row["steps"])}
             for row, _ in BAD_ID_OR_QUESTION
         ]
         inp, out, rej = tmp_path / "cot.jsonl", tmp_path / "chains.jsonl", tmp_path / "rej.jsonl"
@@ -274,12 +275,14 @@ class TestExpand:
         )
         assert result.returncode == 0, result.stderr
         assert f"{len(rows) + 1} records ({len(rows)} failed)" in result.stderr
+        # the oracle never waits, so it fills one gap at a time at the default max_in_flight
+        assert result.stderr.rstrip().endswith("s, 1 request in flight at most")
         assert _read_jsonl(out)[:-1] == rows
         *failed, last = _read_jsonl(report)[1:]
         for line, (_, message) in zip(failed, BAD_ID_OR_QUESTION, strict=True):
             assert line["error"] == f"ValueError: {message}"
             assert line["attempted"] == 0 and line["proposals"] == []
-        assert [line["record_id"] for line in failed] == ["a", None, None, None]
+        assert [line["record_id"] for line in failed] == ["a", None, None, None, None]
         assert last["error"] is None and last["record_id"] == "c0"
 
     def test_malformed_line_mid_file_exits_two(self, synth_dir, tmp_path):
@@ -309,6 +312,7 @@ class TestExpand:
             result = run_cli(*argv)
             assert result.returncode == 0, result.stderr
             assert len(server.seen) == posts
+            assert result.stderr.rstrip().endswith("s, 4 requests in flight at most")
         (line,) = _read_jsonl(report)[1:]
         (proposal,) = line["proposals"]
         assert proposal["decision"] == "backend_error"
@@ -395,6 +399,61 @@ class TestExpandScheduling:
         assert runs[1][3] == 1
         assert runs[4][3] <= 4
         assert most_gaps < runs[64][3] <= 64
+
+
+class TestInProcessFills:
+    @pytest.mark.parametrize("mif", [4, 64])
+    def test_oracle_and_replay_fill_on_the_calling_thread(self, tmp_path, monkeypatch, mif):
+        out_dir = tmp_path / "synth"
+        assert run_cli("gen-synth", "--count", "30", "--seed", "8", "--out", str(out_dir),
+                       "--ops-min", "3", "--ops-max", "6").returncode == 0
+        calling, threads_before = threading.get_ident(), threading.active_count()
+        fill_threads, thread_counts, fixture = set(), [], {}
+
+        def note_fill():
+            fill_threads.add(threading.get_ident())
+            thread_counts.append(threading.active_count())
+
+        oracle_fill = synth.oracle_fill
+
+        def noting_oracle_fill(question, prefix_steps, suffix_steps):
+            note_fill()
+            answer = oracle_fill(question, prefix_steps, suffix_steps)
+            fixture[request_id_for(question, prefix_steps, suffix_steps)] = answer
+            return answer
+
+        class NotingReplay(ReplayBackend):
+            def fill(self, request):
+                note_fill()
+                return super().fill(request)
+
+        monkeypatch.setattr(synth, "oracle_fill", noting_oracle_fill)
+        monkeypatch.setattr(backends, "ReplayBackend", NotingReplay)
+        fixture_path = tmp_path / "fixture.jsonl"
+
+        def run(kind, n):
+            out, report = tmp_path / f"{kind}{n}.jsonl", tmp_path / f"{kind}{n}.report.jsonl"
+            argv = ["expand", "--input", str(out_dir / "coarse.jsonl"), "--output", str(out),
+                    "--report", str(report), "--backend", kind, "--iterations", "2",
+                    "--max-in-flight", str(n)]
+            if kind == "replay":
+                argv += ["--fixture-path", str(fixture_path)]
+            assert cli.main(argv) == 0
+            _, _, body = report.read_bytes().partition(b"\n")
+            return out.read_bytes(), body
+
+        oracle_serial = run("oracle", 1)
+        _write_jsonl(fixture_path, [{"request_id": rid, "response": fixture[rid]}
+                                    for rid in sorted(fixture)])
+        oracle_wide = run("oracle", mif)
+        replay_serial = run("replay", 1)
+        replay_wide = run("replay", mif)
+
+        assert oracle_serial[0] == (out_dir / "fine.jsonl").read_bytes()
+        assert oracle_wide == oracle_serial == replay_serial == replay_wide
+        assert len(thread_counts) == 4 * len(fixture)
+        assert fill_threads == {calling}
+        assert max(thread_counts) <= threads_before
 
 
 class TestStatsAndCompare:
