@@ -19,6 +19,7 @@ import json
 import os
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Protocol
 
 import requests as _requests
@@ -60,7 +61,7 @@ class FimRequest:
     prefix_steps: tuple[str, ...]
     suffix_steps: tuple[str, ...]
 
-    @property
+    @cached_property  # hashed once: the engine and a replay fill both read it
     def request_id(self) -> str:
         return request_id_for(self.question, self.prefix_steps, self.suffix_steps)
 

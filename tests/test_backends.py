@@ -8,6 +8,7 @@ import json
 import pytest
 
 from helpers import StubCompletionServer
+from stepfim import backends
 from stepfim.backends import (
     BackendConfig,
     FimRequest,
@@ -18,9 +19,11 @@ from stepfim.backends import (
     TransportError,
     make_backend,
     record_fixtures,
+    request_id_for,
 )
+from stepfim.expand import BACKEND_ERROR, expand_records
 from stepfim.fim import SPECIAL_TOKENS, format_prompt
-from stepfim.synth import oracle_fill
+from stepfim.synth import CorpusSpec, generate, oracle_fill
 
 HAND_QUESTION = "What is the value of ((2 + 3) * 4) - 5?"
 HAND_FINE = (
@@ -66,6 +69,35 @@ class TestRequestId:
         a = FimRequest("q", ("s1", "s2"), ("s3",))
         b = FimRequest("q", ("s1",), ("s2", "s3"))
         assert a.request_id != b.request_id
+
+    def test_hashing_leaves_equality_alone(self):
+        hashed = _request()
+        hashed.request_id
+        assert hashed == _request() and hash(hashed) == hash(_request())
+
+    def test_a_replay_run_hashes_each_gap_once(self, monkeypatch):
+        rows = [
+            {"id": p.id, "question": p.question, "steps": list(p.coarse_chain.texts)}
+            for p in generate(CorpusSpec(count=8, seed=3))
+        ]
+        mapping = {}
+        for row in rows:
+            steps = tuple(row["steps"])
+            for i in range(1, len(steps)):
+                rid = request_id_for(row["question"], steps[:i], steps[i:])
+                mapping[rid] = oracle_fill(row["question"], steps[:i], steps[i:])
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return request_id_for(*args)
+
+        monkeypatch.setattr(backends, "request_id_for", counted)
+        reports = [r for _, rs in expand_records(rows, ReplayBackend(mapping)) for r in rs]
+        proposals = [p for r in reports for p in r.proposals]
+        assert len(proposals) == len(mapping) > 0
+        assert all(p.decision != BACKEND_ERROR for p in proposals)
+        assert len(calls) == len(proposals)
 
 
 class TestOracleBackend:

@@ -267,13 +267,17 @@ class TestExpand:
 
     def test_non_string_question_passes_through_with_an_error(self, tmp_path):
         rows = [row for row, _ in BAD_ID_OR_QUESTION]
+        # a question the oracle can answer, so the run's one gap does not error
+        good = {"id": "c0", "question": "What is the value of (2 + 3) * 4?",
+                "steps": ["Compute 2 + 3 = 5.", "The answer is 20."]}
         inp, out, report = tmp_path / "in.jsonl", tmp_path / "out.jsonl", tmp_path / "report.jsonl"
-        _write_jsonl(inp, rows + [CHAIN])
+        _write_jsonl(inp, rows + [good])
         result = run_cli(
             "expand", "--input", str(inp), "--output", str(out), "--report", str(report),
             "--backend", "oracle",
         )
         assert result.returncode == 0, result.stderr
+        assert "1 inserted" in result.stderr
         assert f"{len(rows) + 1} records ({len(rows)} failed)" in result.stderr
         # the oracle never waits, so it fills one gap at a time at the default max_in_flight
         assert result.stderr.rstrip().endswith("s, 1 request in flight at most")
@@ -310,14 +314,33 @@ class TestExpand:
             if retry_limit is not None:
                 argv += ["--retry-limit", str(retry_limit)]
             result = run_cli(*argv)
-            assert result.returncode == 0, result.stderr
+            # the run's only gap errored: exit 3, with output and report still written
+            assert result.returncode == 3, result.stderr
             assert len(server.seen) == posts
-            assert result.stderr.rstrip().endswith("s, 4 requests in flight at most")
+            assert "1 errored" in result.stderr
+            assert result.stderr.rstrip().endswith("error: every gap ended in backend_error (1 attempted)")
         (line,) = _read_jsonl(report)[1:]
         (proposal,) = line["proposals"]
         assert proposal["decision"] == "backend_error"
         assert f"after {posts - 1} retries" in proposal["error"]
         assert _read_jsonl(out) == [CHAIN]
+
+    def test_one_failing_gap_of_two_still_exits_zero(self, tmp_path):
+        inp, out, report = tmp_path / "in.jsonl", tmp_path / "out.jsonl", tmp_path / "report.jsonl"
+        chain = {**CHAIN, "steps": ["Add 2 and 3.", "That gives 5.", "The answer is 5."]}
+        _write_jsonl(inp, [chain])
+        # a 404 is never retried, so exactly one of the two gaps errors
+        script = [(404, {"error": "nope"}), (200, {"completion": "Write down both numbers."})]
+        with StubCompletionServer(script) as server:
+            result = run_cli(
+                "expand", "--input", str(inp), "--output", str(out), "--report", str(report),
+                "--backend", "http", "--endpoint-url", server.url,
+            )
+            assert len(server.seen) == 2
+        assert result.returncode == 0, result.stderr
+        assert "1 errored" in result.stderr and "error:" not in result.stderr
+        (line,) = _read_jsonl(report)[1:]
+        assert sorted(p["decision"] for p in line["proposals"]) == ["backend_error", "valid"]
 
     def test_unreachable_endpoint_exits_three(self, synth_dir, tmp_path):
         result = run_cli(

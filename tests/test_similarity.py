@@ -1,15 +1,19 @@
-"""Similarity scoring against an independent reference, plus gate rules."""
+"""Similarity scoring against an independent reference and against difflib,
+plus gate rules."""
 
 from __future__ import annotations
 
 import random
 import string
+from difflib import SequenceMatcher
 
 import pytest
 from hypothesis import given, strategies as st
 
 from helpers import reference_ratio
+from stepfim.decompose import normalize_ws
 from stepfim.similarity import GateConfig, gate, similarity
+from stepfim.synth import CorpusSpec, generate, oracle_fill
 
 PAIR_ALPHABET = string.ascii_letters + string.digits + " +-*/=()$._,"
 
@@ -73,6 +77,62 @@ class TestSimilarityProperties:
     )
     def test_matches_reference_everywhere(self, a, b):
         assert abs(similarity(a, b) - reference_ratio(a, b)) <= 1e-12
+
+
+def _difflib_ratio(a: str, b: str) -> float:
+    return SequenceMatcher(None, normalize_ws(a), normalize_ws(b), autojunk=False).ratio()
+
+
+def _gate_pairs() -> list[tuple[str, str]]:
+    """(candidate, next step) for every gap of a small synthetic corpus, as
+    the oracle fills them, in the coarse and the fine chains, plus the
+    consecutive fine steps that corpus generation compares."""
+    pairs = []
+    for prob in generate(CorpusSpec(count=40, seed=5, ops_max=6)):
+        for texts in (prob.coarse_chain.texts, prob.fine_chain.texts):
+            for i in range(len(texts)):
+                candidate = oracle_fill(prob.question, texts[:i], texts[i:])
+                pairs.append((candidate, texts[i]))
+        fine = prob.fine_chain.texts
+        pairs.extend(zip(fine, fine[1:]))
+    return pairs
+
+
+class TestExactlyDifflib:
+    """The score is difflib's ratio with autojunk off, to the last bit."""
+
+    @given(st.text(alphabet="ab ", max_size=120), st.text(alphabet="ab ", max_size=120))
+    def test_tie_heavy_alphabet(self, a, b):
+        assert similarity(a, b) == _difflib_ratio(a, b)
+
+    @given(st.text(alphabet="αβγ δ", max_size=120), st.text(alphabet="αβγ δ", max_size=120))
+    def test_non_ascii_text(self, a, b):
+        assert similarity(a, b) == _difflib_ratio(a, b)
+
+    @given(
+        st.text(alphabet=PAIR_ALPHABET, max_size=300),
+        st.text(alphabet=PAIR_ALPHABET, max_size=300),
+    )
+    def test_lengths_up_to_300(self, a, b):
+        assert similarity(a, b) == _difflib_ratio(a, b)
+
+    @pytest.mark.parametrize("a, b", [
+        ("ab" * 200, "ba" * 200),
+        ("a" * 400, "a" * 399),
+        ("αβγ δ" * 60, "βγ δα" * 60),
+        ("", "abc"),
+        ("a b", "a  b"),
+    ])
+    def test_near_ties_and_long_inputs(self, a, b):
+        assert similarity(a, b) == _difflib_ratio(a, b)
+        assert similarity(b, a) == _difflib_ratio(b, a)
+
+    def test_gate_pairs_of_a_synthetic_corpus(self):
+        pairs = _gate_pairs()
+        assert len(pairs) > 400
+        assert any(normalize_ws(a) != normalize_ws(b) for a, b in pairs)
+        for candidate, next_step in pairs:
+            assert similarity(candidate, next_step) == _difflib_ratio(candidate, next_step)
 
 
 class TestGate:
