@@ -307,7 +307,7 @@ def cmd_expand(cfg: dict[str, Any]) -> int:
     econf = ExpansionConfig(**_fields_of(ExpansionConfig, cfg))
     slots = fill_slots(backend, econf)
 
-    counts = {"records": 0, "failed_records": 0, "attempted": 0, "inserted": 0, "invalid": 0,
+    counts = {"records": 0, "failed_records": 0, "inserted": 0, "invalid": 0,
               "malformed": 0, "errored": 0}
     started = time.perf_counter()
     report_handle = _open_out(cfg["report"]) if cfg["report"] else None
@@ -321,7 +321,6 @@ def cmd_expand(cfg: dict[str, Any]) -> int:
                 for report in reports:
                     if report.error is not None:
                         counts["failed_records"] += 1
-                    counts["attempted"] += report.attempted
                     counts["inserted"] += report.inserted
                     counts["invalid"] += report.invalid
                     counts["malformed"] += report.malformed
@@ -339,8 +338,8 @@ def cmd_expand(cfg: dict[str, Any]) -> int:
             secs=elapsed, slots=slots, s="" if slots == 1 else "s", **counts
         )
     )
-    if counts["attempted"] and counts["errored"] == counts["attempted"]:
-        _note(f"error: every gap ended in backend_error ({counts['attempted']} attempted)")
+    if counts["errored"] and not (counts["inserted"] or counts["invalid"] or counts["malformed"]):
+        _note(f"error: every gap ended in backend_error ({counts['errored']} attempted)")
         return 3
     return 0
 

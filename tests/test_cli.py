@@ -318,6 +318,8 @@ class TestExpand:
             assert result.returncode == 3, result.stderr
             assert len(server.seen) == posts
             assert "1 errored" in result.stderr
+            # http waits on the network, so it keeps max_in_flight workers
+            assert "s, 4 requests in flight at most" in result.stderr
             assert result.stderr.rstrip().endswith("error: every gap ended in backend_error (1 attempted)")
         (line,) = _read_jsonl(report)[1:]
         (proposal,) = line["proposals"]
