@@ -87,8 +87,10 @@ class BackendConfig:
             raise ValueError("http backend requires endpoint_url")
         if self.kind == "replay" and not self.fixture_path:
             raise ValueError("replay backend requires fixture_path")
-        if self.retry_limit < 0:
-            raise ValueError("retry_limit must be >= 0")
+        lows = {"retry_limit": 0, "timeout_ms": 1, "backoff_ms": 0, "max_new_chars": 1}
+        for name, low in lows.items():
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
 
 
 class FimBackend(Protocol):

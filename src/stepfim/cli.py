@@ -91,10 +91,10 @@ def build_parser() -> _Parser:
                    default=ExpansionConfig.include_leading_gap,
                    help="also fill the gap before the first step")
     p.add_argument("--max-in-flight", type=int, default=ExpansionConfig.max_in_flight,
-                   help="backend requests in flight at once, across records, for a backend "
-                        "that waits (http); oracle and replay fill one gap at a time on "
-                        "the main thread; output stays in input order, reading up to 4 "
-                        "records per request ahead (default %(default)s)")
+                   help="worker threads for a backend that waits (http), each expanding "
+                        "one whole record at a time, its gaps one by one; oracle and replay "
+                        "fill one gap at a time on the main thread; output stays in input "
+                        "order, reading up to 4 records per worker ahead (default %(default)s)")
     p.add_argument("--retry-limit", type=int, default=BackendConfig.retry_limit,
                    help="HTTP retries of a transient failure after the first attempt "
                         "(http backend; default %(default)s)")
@@ -386,7 +386,10 @@ def _load_stats_file(path: str) -> CorpusStats:
 def cmd_compare(cfg: dict[str, Any]) -> int:
     before = _load_stats_file(cfg["before"])
     after = _load_stats_file(cfg["after"])
-    delta = diff_stats(before, after)
+    try:
+        delta = diff_stats(before, after)
+    except ValueError as exc:  # different tokenizers, or a change from zero
+        raise DataError(str(exc)) from exc
     _write_json(delta.to_dict(), cfg["output"])
     _note("compare: done")
     return 0

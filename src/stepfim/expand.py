@@ -5,16 +5,17 @@ for the step that might be missing there (prefix = steps before the gap,
 suffix = the full remaining tail), gates the candidate by similarity to
 the step that follows, and inserts the survivors.
 
-One scheduler runs every gap of a run: for a backend whose fills wait
-(http, or any backend without `waits = False`), `max_in_flight` worker
-threads take queued gaps, earliest record first, while each record takes
-its rounds one at a time. The calling thread reads records at most
-4 per fill slot ahead, wakes once per finished record, hands them back
-in input order and raises a fill's BaseException. An in-process backend
-(oracle, replay) never waits, so it fills every gap on the calling thread,
-one at a time, whatever `max_in_flight` is: under the interpreter lock more
-threads would only take turns. Output never depends on `max_in_flight` or
-on which request finished first.
+A record is the unit of work: its rounds run one after the other, and
+each round fills its gaps one at a time, in gap order. For a backend whose
+fills wait (http, or any backend without `waits = False`),
+`expand_records` gives whole records to `max_in_flight` pool workers,
+earliest first, reads records at most 4 per worker ahead and hands them
+back in input order, raising a fill's BaseException in its record's turn.
+An in-process backend (oracle, replay) never waits, so its records are
+expanded on the calling thread whatever `max_in_flight` is: under the
+interpreter lock more threads would only take turns. `expand_chain` and
+`expand_iteratively` always fill on the calling thread. Output never
+depends on `max_in_flight` or on which request finished first.
 
 Decisions recorded per gap:
 
@@ -27,13 +28,12 @@ Decisions recorded per gap:
 
 from __future__ import annotations
 
-import heapq
 import threading
 import time
 from collections import deque
-from contextlib import closing
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from stepfim import fim
 from stepfim.backends import FimBackend, FimRequest
@@ -47,8 +47,8 @@ BACKEND_ERROR = "backend_error"
 
 DECISIONS = (VALID, INVALID, MALFORMED, BACKEND_ERROR)
 
-# records read ahead per request slot: room for the oldest record to wait
-# on its slowest gap while the other slots stay busy with later records
+# records read ahead per fill slot: room for the oldest record to wait on
+# its slowest gaps while the other workers stay busy with later records
 LOOKAHEAD = 4
 
 
@@ -169,10 +169,12 @@ def requests_for_chain(
     ]
 
 
-def _propose(backend: FimBackend, gap_index: int, request: FimRequest, config: ExpansionConfig) -> GapProposal:
+def _propose(
+    fill: Callable[[FimRequest], str], gap_index: int, request: FimRequest, config: ExpansionConfig
+) -> GapProposal:
     start = time.perf_counter()
     try:
-        raw = backend.fill(request)
+        raw = fill(request)
     except Exception as exc:
         latency_ms = (time.perf_counter() - start) * 1000.0
         failure = f"{type(exc).__name__}: {exc}"
@@ -188,54 +190,20 @@ def _propose(backend: FimBackend, gap_index: int, request: FimRequest, config: E
     return GapProposal(gap_index, request.request_id, cleaned, outcome.score, decision, latency_ms)
 
 
-class _Job:
-    """One chain on its way through `config.iterations` rounds.
-
-    Round r+1's requests are built only once every gap of round r has its
-    decision, so rounds stay a barrier within a chain while the scheduler
-    overlaps the gaps of different chains.
-    """
-
-    def __init__(self, config: ExpansionConfig, row: dict[str, Any] | None = None) -> None:
-        self.config = config
-        self.row = row
-        self.reports: list[ExpansionReport] = []
-        self.requests: list[tuple[int, FimRequest]] = []
-        self.error: Exception | None = None
-
-    @property
-    def done(self) -> bool:
-        return self.error is not None or len(self.reports) == self.config.iterations
-
-    def start(self, question: str, chain: StepChain) -> None:
-        self.question = question
-        self.chain = chain
-        self._open_round()
-
-    def take(self, proposal: GapProposal) -> bool:
-        """Record one gap's decision; True when that closed the round."""
-        self.proposals.append(proposal)
-        if len(self.proposals) < len(self.requests):
-            return False
-        self._close_round()
-        self._open_round()
-        return True
-
-    def _open_round(self) -> None:
-        self.requests = []
-        while not self.done:
-            self.started = time.perf_counter()
-            self.proposals: list[GapProposal] = []
-            self.requests = requests_for_chain(self.question, self.chain, self.config)
-            if self.requests:
-                return
-            self._close_round()
-
-    def _close_round(self) -> None:
-        proposals = sorted(self.proposals, key=lambda p: p.gap_index)
+def _rounds(
+    question: str, chain: StepChain, fill: Callable[[FimRequest], str], config: ExpansionConfig
+) -> tuple[StepChain, list[ExpansionReport]]:
+    """Run `config.iterations` rounds on one chain, filling each round's gaps in order."""
+    reports: list[ExpansionReport] = []
+    for iteration in range(config.iterations):
+        started = time.perf_counter()
+        proposals = [
+            _propose(fill, gap_index, request, config)
+            for gap_index, request in requests_for_chain(question, chain, config)
+        ]
         accepted = {p.gap_index: p.candidate for p in proposals if p.decision == VALID}
         out_texts: list[str] = []
-        for idx0, text in enumerate(self.chain.texts):
+        for idx0, text in enumerate(chain.texts):
             if idx0 + 1 in accepted:
                 out_texts.append(accepted[idx0 + 1])
             out_texts.append(text)
@@ -244,19 +212,20 @@ class _Job:
         counts = {d: 0 for d in DECISIONS}
         for p in proposals:
             counts[p.decision] += 1
-        self.reports.append(ExpansionReport(
-            iteration=len(self.reports),
-            input_steps=len(self.chain),
+        reports.append(ExpansionReport(
+            iteration=iteration,
+            input_steps=len(chain),
             output_steps=len(expanded),
             attempted=len(proposals),
             inserted=counts[VALID],
             invalid=counts[INVALID],
             malformed=counts[MALFORMED],
             errored=counts[BACKEND_ERROR],
-            elapsed_ms=(time.perf_counter() - self.started) * 1000.0,
+            elapsed_ms=(time.perf_counter() - started) * 1000.0,
             proposals=tuple(proposals),
         ))
-        self.chain = expanded
+        chain = expanded
+    return chain, reports
 
 
 def fill_slots(backend: FimBackend, config: ExpansionConfig) -> int:
@@ -264,102 +233,6 @@ def fill_slots(backend: FimBackend, config: ExpansionConfig) -> int:
     that declares `waits = False`, whose fills would only take turns on the
     interpreter lock."""
     return config.max_in_flight if getattr(backend, "waits", True) else 1
-
-
-def _schedule(jobs: Iterable[_Job], backend: FimBackend, config: ExpansionConfig) -> Iterator[_Job]:
-    """Yield each job once all its rounds are decided, in the order given.
-
-    With more than one fill slot (see `fill_slots`), workers fill the
-    earliest job's gaps without the lock; with one, every gap is filled on
-    this thread and no thread starts. Stopping waits only on running fills.
-    This thread alone pulls `jobs`, at most LOOKAHEAD * slots ahead, and
-    wakes once per done job. A job whose decision raises fails alone; a
-    fill's BaseException is raised here.
-    """
-    slots = fill_slots(backend, config)
-    jobs = iter(jobs)
-    window: deque[_Job] = deque()
-    queued: list[tuple[int, int, FimRequest, _Job]] = []  # heap: earliest job, then gap
-    lock = threading.Lock()
-    gap_queued = threading.Condition(lock)  # workers wait here
-    job_done = threading.Condition(lock)  # the calling thread waits here
-    admitted = 0
-    stopping = False
-    fault: BaseException | None = None
-
-    def enqueue(rank: int, job: _Job) -> None:
-        for gap_index, request in job.requests:
-            heapq.heappush(queued, (rank, gap_index, request, job))
-        gap_queued.notify(len(job.requests))
-
-    def run_gap() -> None:  # entered and left with the lock held
-        rank, gap_index, request, job = heapq.heappop(queued)
-        if job.done:
-            return
-        lock.release()
-        try:
-            try:
-                proposal = _propose(backend, gap_index, request, config)
-            finally:
-                lock.acquire()
-            if not job.done and job.take(proposal):  # done: another of its gaps failed
-                enqueue(rank, job)
-        except Exception as exc:
-            job.error = job.error or exc
-        if job.done:
-            job_done.notify()
-
-    def work() -> None:
-        nonlocal fault
-        with lock:
-            try:
-                while not stopping:
-                    if queued:
-                        run_gap()
-                    else:
-                        gap_queued.wait()
-            except BaseException as exc:  # raised again on the calling thread
-                fault = exc
-                job_done.notify()
-
-    # daemon: a generator left open must not hold up interpreter exit
-    workers = [threading.Thread(target=work, daemon=True) for _ in range(slots if slots > 1 else 0)]
-    step = job_done.wait if workers else run_gap
-    try:
-        for worker in workers:
-            worker.start()
-        while True:
-            while len(window) < LOOKAHEAD * slots and (job := next(jobs, None)) is not None:
-                window.append(job)
-                with lock:
-                    enqueue(admitted, job)
-                admitted += 1
-            with lock:
-                while window and not window[0].done and fault is None:
-                    step()
-                if fault is not None:
-                    raise fault
-            if not window:
-                return
-            yield window.popleft()
-    finally:
-        with lock:
-            stopping = True
-            gap_queued.notify_all()
-        for worker in workers:
-            if worker.is_alive():  # not if it failed to start
-                worker.join()
-
-
-def _expand_one(
-    question: str, chain: StepChain, backend: FimBackend, config: ExpansionConfig
-) -> _Job:
-    job = _Job(config)
-    job.start(question, chain)
-    (job,) = _schedule([job], backend, config)
-    if job.error is not None:
-        raise job.error
-    return job
 
 
 def expand_chain(
@@ -374,12 +247,13 @@ def expand_chain(
     inserted simultaneously, so one round can at most double the gap
     count: len(output) <= 2*len(input) - 1 (one more with the leading
     gap). A one-step chain has no interior gap and returns unchanged
-    unless the leading gap is enabled.
+    unless the leading gap is enabled. The gaps are filled one at a time,
+    in gap order, on the calling thread, whatever `max_in_flight` is.
     """
     if config is None:
         config = ExpansionConfig()
-    job = _expand_one(question, chain, backend, replace(config, iterations=1))
-    return job.chain, job.reports[0]
+    expanded, (report,) = _rounds(question, chain, backend.fill, replace(config, iterations=1))
+    return expanded, report
 
 
 def expand_iteratively(
@@ -392,22 +266,37 @@ def expand_iteratively(
 
     Rounds are a strict barrier: every gap of round r is decided before
     round r+1 sees the chain. All gaps are re-expanded each round; the
-    gate keeps already-dense regions stable.
+    gate keeps already-dense regions stable. Like `expand_chain`, this
+    fills on the calling thread, one gap at a time.
     """
     if config is None:
         config = ExpansionConfig()
-    job = _expand_one(question, chain, backend, config)
-    return job.chain, job.reports
+    return _rounds(question, chain, backend.fill, config)
 
 
-def _admit(rows: Iterable[dict[str, Any]], config: ExpansionConfig) -> Iterator[_Job]:
-    for row in rows:
-        job = _Job(config, row)
-        try:
-            job.start(*chain_record(row))
-        except (KeyError, ValueError) as exc:
-            job.error = exc
-        yield job
+class _Stopped(BaseException):
+    """Raised by a pool worker's fill once the record stream has stopped."""
+
+
+def _expand_row(
+    row: dict[str, Any], fill: Callable[[FimRequest], str], config: ExpansionConfig
+) -> tuple[dict[str, Any], list[ExpansionReport]]:
+    row_id = record_id(row)
+    try:
+        chain, reports = _rounds(*chain_record(row), fill, config)
+    except Exception as exc:  # bad shape or backend misuse: this record fails alone
+        steps = row.get("steps")
+        n = len(steps) if isinstance(steps, list) else 0
+        failure = ExpansionReport(
+            record_id=row_id,
+            input_steps=n,
+            output_steps=n,
+            error=f"{type(exc).__name__}: {exc}",
+        )
+        return row, [failure]
+    out = dict(row)
+    out["steps"] = list(chain.texts)
+    return out, [replace(r, record_id=row_id) for r in reports]
 
 
 def expand_records(
@@ -418,31 +307,44 @@ def expand_records(
     """Expand a stream of `{id, question, steps}` records, yielded in input order.
 
     This is the one expansion path for the CLI and for library callers;
-    corpus totals are the caller's sum over the yielded reports. Up to
-    `fill_slots(backend, config)` gaps of different records are in flight
-    at once (`max_in_flight`, or 1 for an in-process backend), and records
-    are read at most 4 per slot ahead of the one yielded next. A record
-    that cannot be expanded (bad shape, backend misuse) is yielded
-    unchanged with a zero-count report carrying the error, so a single
-    poisoned record never aborts a batch run.
+    corpus totals are the caller's sum over the yielded reports. With one
+    fill slot (see `fill_slots`) every record is expanded on the calling
+    thread. With N slots, N pool workers each expand whole records,
+    earliest first, filling a record's gaps one at a time; records are
+    read at most 4 per slot ahead of the one yielded next, and the run
+    ends with a tail of at most one record per worker. Stopping (the
+    generator closed, an input error, a fill's BaseException, which is
+    raised here in its record's turn) waits only on the fills that are
+    running. The workers are not daemon threads, so a generator left open
+    at interpreter exit waits for the records already handed to them (at
+    most 4 per slot). A record that cannot be expanded (bad shape, backend
+    misuse) is yielded unchanged with a zero-count report carrying the
+    error, so a single poisoned record never aborts a batch run.
     """
     if config is None:
         config = ExpansionConfig()
-    with closing(_schedule(_admit(records, config), backend, config)) as jobs:
-        for job in jobs:
-            row = job.row
-            row_id = record_id(row)
-            if job.error is not None:
-                steps = row.get("steps")
-                n = len(steps) if isinstance(steps, list) else 0
-                failure = ExpansionReport(
-                    record_id=row_id,
-                    input_steps=n,
-                    output_steps=n,
-                    error=f"{type(job.error).__name__}: {job.error}",
-                )
-                yield row, [failure]
-                continue
-            out = dict(row)
-            out["steps"] = list(job.chain.texts)
-            yield out, [replace(r, record_id=row_id) for r in job.reports]
+    slots = fill_slots(backend, config)
+    if slots == 1:
+        for row in records:
+            yield _expand_row(row, backend.fill, config)
+        return
+
+    stop = threading.Event()
+
+    def fill(request: FimRequest) -> str:
+        if stop.is_set():
+            raise _Stopped()
+        return backend.fill(request)
+
+    pool = ThreadPoolExecutor(slots)
+    window: deque[Future[tuple[dict[str, Any], list[ExpansionReport]]]] = deque()
+    try:
+        for row in records:
+            window.append(pool.submit(_expand_row, row, fill, config))
+            if len(window) == LOOKAHEAD * slots:
+                yield window.popleft().result()
+        while window:
+            yield window.popleft().result()
+    finally:
+        stop.set()
+        pool.shutdown(cancel_futures=True)

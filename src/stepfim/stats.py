@@ -60,12 +60,20 @@ class CorpusStats:
 
     @classmethod
     def from_dict(cls, row: dict[str, Any]) -> "CorpusStats":
+        """Read a summary back; KeyError for a missing field, TypeError for a mistyped one."""
+        types = {"samples": (int,), "avg_tokens": (int, float), "total_tokens": (int,),
+                 "avg_steps": (int, float), "tokenizer_id": (str,)}
+        for name, allowed in types.items():
+            value = row[name]
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise TypeError(f"{name} must be {' or '.join(t.__name__ for t in allowed)}, "
+                                f"not {type(value).__name__}")
         return cls(
-            samples=int(row["samples"]),
+            samples=row["samples"],
             avg_tokens=float(row["avg_tokens"]),
-            total_tokens=int(row["total_tokens"]),
+            total_tokens=row["total_tokens"],
             avg_steps=float(row["avg_steps"]),
-            tokenizer_id=str(row["tokenizer_id"]),
+            tokenizer_id=row["tokenizer_id"],
         )
 
 

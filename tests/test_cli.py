@@ -516,6 +516,39 @@ class TestStatsAndCompare:
         result = run_cli("compare", "--before", str(before), "--after", str(bogus))
         assert result.returncode == 2
 
+    @pytest.mark.parametrize(
+        "side, field, value, needle",
+        [
+            pytest.param("after", "samples", 1.5, "samples must be int", id="float-samples"),
+            pytest.param("after", "samples", "7", "samples must be int", id="string-samples"),
+            pytest.param("after", "samples", True, "samples must be int", id="bool-samples"),
+            pytest.param("after", "total_tokens", 7.0, "total_tokens must be int",
+                         id="float-total-tokens"),
+            pytest.param("after", "avg_tokens", "3.5", "avg_tokens must be int or float",
+                         id="string-avg-tokens"),
+            pytest.param("after", "avg_steps", False, "avg_steps must be int or float",
+                         id="bool-avg-steps"),
+            pytest.param("after", "tokenizer_id", 1, "tokenizer_id must be str",
+                         id="int-tokenizer-id"),
+            pytest.param("after", "tokenizer_id", "chars", "after with 'chars'",
+                         id="other-tokenizer"),
+            pytest.param("before", "samples", 0, "zero baseline", id="zero-baseline"),
+        ],
+    )
+    def test_compare_rejects_mistyped_or_incomparable_stats(self, tmp_path, side, field, value,
+                                                            needle):
+        summary = {"samples": 2, "avg_tokens": 3.5, "total_tokens": 7, "avg_steps": 2.0,
+                   "tokenizer_id": "whitespace"}
+        paths = {name: tmp_path / f"{name}.json" for name in ("before", "after")}
+        for name, path in paths.items():
+            path.write_text(json.dumps({**summary, field: value} if name == side else summary),
+                            encoding="utf-8")
+        result = run_cli("compare", "--before", str(paths["before"]), "--after", str(paths["after"]))
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+        (error,) = [line for line in result.stderr.splitlines() if line.startswith("error:")]
+        assert needle in error
+
     def test_stats_on_empty_corpus_exits_two(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("", encoding="utf-8")
@@ -636,6 +669,11 @@ class TestExitCodesAndConfig:
             pytest.param("expand", {"include_leading_gap": "no"}, 1, id="bool-flag-given-a-string"),
             pytest.param("expand", {"backend": "gpt"}, 1, id="not-one-of-the-choices"),
             pytest.param("build-fim", {"seed": "7"}, 1, id="seed-given-a-string"),
+            pytest.param("expand", {"max_new_chars": -1}, 1, id="negative-max-new-chars"),
+            pytest.param("expand", {"max_new_chars": 0}, 1, id="zero-max-new-chars"),
+            pytest.param("expand", {"timeout_ms": 0}, 1, id="zero-timeout"),
+            pytest.param("expand", {"timeout_ms": -5}, 1, id="negative-timeout"),
+            pytest.param("expand", {"backoff_ms": -1}, 1, id="negative-backoff"),
             pytest.param("expand", {"eta": 1}, 0, id="float-flag-given-an-int"),
             pytest.param("expand", {"include_leading_gap": True}, 0, id="bool-flag-given-true"),
         ],

@@ -524,9 +524,16 @@ class TestSchedulerStreaming:
                 return super().fill(request)
 
         rows = [{"id": f"r{i}", "question": f"r{i}?", "steps": list(FINE)} for i in range(40)]
-        backend = AbortOnR5(0.001)
+        backend = AbortOnR5(0.01)
+        yielded = []
+
+        def consume():
+            for row, _ in expand_records(rows, backend, ExpansionConfig(max_in_flight=mif)):
+                yielded.append(row["id"])
+
         with pytest.raises(Abort):
-            _in_thread(lambda: list(expand_records(rows, backend, ExpansionConfig(max_in_flight=mif))))
+            _in_thread(consume)
+        assert yielded == ["r0", "r1", "r2", "r3", "r4"]  # earlier records first, in order
         assert backend.active == 0
         started = backend.started
         time.sleep(0.05)
