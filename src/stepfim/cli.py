@@ -24,9 +24,9 @@ from typing import Any, Callable, TextIO
 from urllib.parse import urlparse
 
 from stepfim.backends import BACKEND_KINDS, BackendConfig, BadFixture, make_backend
-from stepfim.decompose import DecomposeConfig, chain_record, decompose, record_question
+from stepfim.decompose import DecomposeConfig, chain_record, decompose, record_id, record_question
 from stepfim.expand import ExpansionConfig, expand_records, fill_slots
-from stepfim.fim import SamplerConfig, sample_fim
+from stepfim.fim import SamplerConfig, sample_fim, samples_jsonl
 from stepfim.jsonl import JsonlError, dumps_line, read_jsonl
 from stepfim.stats import CorpusStats, EmptyCorpus, MalformedRecord, diff_stats, stats
 from stepfim.synth import DROP_PATTERNS, CorpusSpec, generate
@@ -129,8 +129,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("stats", help="summarize a step-chain corpus")
     p.add_argument("--input", help="step chains JSONL")
-    p.add_argument("--tokenizer", default="whitespace",
-                   help="token counting scheme (default %(default)s)")
     p.add_argument("--output", default="", help="write the JSON summary here instead of stdout")
 
     p = sub.add_parser("compare", help="percentage deltas between two stats files")
@@ -239,13 +237,34 @@ def _write_json(payload: dict[str, Any], path: str) -> None:
         sys.stdout.write(text)
 
 
+class _RepeatedIds:
+    """Counts the records whose id, as `record_id` reads it, an earlier record had."""
+
+    def __init__(self) -> None:
+        self.seen: set[str] = set()
+        self.count = 0
+
+    def see(self, row: dict[str, Any]) -> None:
+        rid = record_id(row)
+        if rid in self.seen:
+            self.count += 1
+        elif rid is not None:
+            self.seen.add(rid)
+
+    def summary(self) -> str:
+        """The end of a subcommand's summary line: empty unless an id repeats."""
+        return f", {self.count} records repeat an earlier id" if self.count else ""
+
+
 def cmd_decompose(cfg: dict[str, Any]) -> int:
     dconf = DecomposeConfig(min_step_chars=cfg["min_step_chars"])
     kept = rejected = 0
+    repeated = _RepeatedIds()
     rejects_handle = _open_out(cfg["rejects"]) if cfg["rejects"] else None
     try:
         with _open_out(cfg["output"]) as out:
             for row in read_jsonl(cfg["input"]):
+                repeated.see(row)
                 try:
                     chain = decompose(row["solution"], dconf)
                     question = record_question(row)
@@ -264,15 +283,23 @@ def cmd_decompose(cfg: dict[str, Any]) -> int:
     finally:
         if rejects_handle is not None:
             rejects_handle.close()
-    _note(f"decompose: {kept} chains written, {rejected} records rejected")
+    _note(f"decompose: {kept} chains written, {rejected} records rejected{repeated.summary()}")
     return 0
 
 
 def cmd_build_fim(cfg: dict[str, Any]) -> int:
+    """Write `rounds` FIM samples per chain.
+
+    `sample_fim` draws each sample and checks its text for special tokens;
+    `samples_jsonl` writes a chain's samples as the bytes `dumps_line` would,
+    escaping the question and each step once per chain.
+    """
     sampler = SamplerConfig(rounds=cfg["rounds"], seed=cfg["seed"])
     written = skipped = 0
+    repeated = _RepeatedIds()
     with _open_out(cfg["output"]) as out:
         for row in read_jsonl(cfg["input"]):
+            repeated.see(row)
             try:
                 question, chain = chain_record(row)
                 samples = sample_fim(chain, question, sampler, source_id=str(row["id"]))
@@ -280,10 +307,9 @@ def cmd_build_fim(cfg: dict[str, Any]) -> int:
                 skipped += 1
                 _note(f"build-fim: skipping record {row.get('id')!r}: {exc}")
                 continue
-            for sample in samples:
-                out.write(dumps_line(sample.to_dict()))
-                written += 1
-    _note(f"build-fim: {written} samples written, {skipped} records skipped")
+            out.write(samples_jsonl(samples, question, chain))
+            written += len(samples)
+    _note(f"build-fim: {written} samples written, {skipped} records skipped{repeated.summary()}")
     return 0
 
 
@@ -309,6 +335,7 @@ def cmd_expand(cfg: dict[str, Any]) -> int:
 
     counts = {"records": 0, "failed_records": 0, "inserted": 0, "invalid": 0,
               "malformed": 0, "errored": 0}
+    repeated = _RepeatedIds()
     started = time.perf_counter()
     report_handle = _open_out(cfg["report"]) if cfg["report"] else None
     try:
@@ -317,6 +344,7 @@ def cmd_expand(cfg: dict[str, Any]) -> int:
         with _open_out(cfg["output"]) as out:
             for row, reports in expand_records(read_jsonl(cfg["input"]), backend, econf):
                 out.write(dumps_line(row))
+                repeated.see(row)
                 counts["records"] += 1
                 for report in reports:
                     if report.error is not None:
@@ -334,8 +362,9 @@ def cmd_expand(cfg: dict[str, Any]) -> int:
     _note(
         "expand: {records} records ({failed_records} failed), "
         "{inserted} inserted / {invalid} invalid / {malformed} malformed / "
-        "{errored} errored, {secs:.2f}s, {slots} request{s} in flight at most".format(
-            secs=elapsed, slots=slots, s="" if slots == 1 else "s", **counts
+        "{errored} errored, {secs:.2f}s, {slots} request{s} in flight at most{repeats}".format(
+            secs=elapsed, slots=slots, s="" if slots == 1 else "s", repeats=repeated.summary(),
+            **counts
         )
     )
     if counts["errored"] and not (counts["inserted"] or counts["invalid"] or counts["malformed"]):
@@ -365,7 +394,7 @@ def cmd_gen_synth(cfg: dict[str, Any]) -> int:
 
 
 def cmd_stats(cfg: dict[str, Any]) -> int:
-    summary = stats(read_jsonl(cfg["input"]), tokenizer_id=cfg["tokenizer"])
+    summary = stats(read_jsonl(cfg["input"]))
     _write_json(summary.to_dict(), cfg["output"])
     _note(f"stats: {summary.samples} records summarized")
     return 0

@@ -29,9 +29,17 @@ ABBREVIATIONS = frozenset(
     }
 )
 
-_STEP_MARKER_RE = re.compile(r"Step \d+[:.]")
-_SENTENCE_END_RE = re.compile(r"[.!?]")
-_WORD_AFTER_RE = re.compile(r"[A-Za-z]+")
+# A sentence end that may break: ./!/? and a space, then an ASCII capital,
+# a marker word (ASCII case folding only, so neither "ſ" nor the Kelvin
+# sign stands in for a letter) or a non-ASCII character, which breaks
+# only when it is upper case.
+_BREAK_RE = re.compile(
+    r"[.!?] (?=[A-Z]|(?ai:%s)(?![A-Za-z])|[^\x00-\x7f])" % "|".join(sorted(MARKER_WORDS))
+)
+# led by its space: a pattern that starts with a literal is searched fast
+_STEP_MARKER_RE = re.compile(r" Step \d+[:.]")
+# the letter before the period of each abbreviation
+_ABBREVIATION_ENDS = frozenset(abbreviation[-2] for abbreviation in ABBREVIATIONS)
 _PUNCT_ONLY_RE = re.compile(r"[\W_]+$")
 _OPENER_RE = re.compile(r"\\begin\{|\\[\s\S]|\$\$?")
 _ENV_TAG_RE = re.compile(r"\\(begin|end)\{")
@@ -169,10 +177,13 @@ def _find_breaks(text: str, spans: list[tuple[int, int]]) -> list[int]:
     """Positions in `text` where a new step starts.
 
     Candidates are searched in a copy of `text` whose math spans are
-    blanked to NUL, so none falls inside a formula; the checks on each
-    candidate read the original text. Each break position is preceded by
-    exactly one space (the text is whitespace-normalized), so slicing at
-    breaks and rstripping loses only that separator space.
+    blanked to NUL, so none falls inside a formula. One regex finds each
+    sentence end whose next character could open a step; Python then only
+    drops a non-ASCII next character that is not upper case and a period
+    that ends an abbreviation, reading the original text. Each break
+    position is preceded by exactly one space (the text is
+    whitespace-normalized), so slicing at breaks and rstripping loses only
+    that separator space.
     """
     pieces: list[str] = []
     prev = 0
@@ -180,28 +191,22 @@ def _find_breaks(text: str, spans: list[tuple[int, int]]) -> list[int]:
         pieces += (text[prev:start], "\0" * (end - start))
         prev = end
     masked = "".join(pieces) + text[prev:]
-    breaks: set[int] = set()
+    breaks: list[int] = []
 
-    for match in _SENTENCE_END_RE.finditer(masked):
+    for match in _BREAK_RE.finditer(masked):
         p = match.start()
-        if p + 2 >= len(text) or text[p + 1] != " ":
+        nxt = text[p + 2]
+        if nxt >= "\x80" and not nxt.isupper():
             continue
         # decimals like 3.5 carry no space after the period, so they never
-        # reach this point; abbreviations do and are skipped explicitly
-        if text[p] == "." and _word_before(text, p) in ABBREVIATIONS:
+        # match; abbreviations do and are skipped explicitly
+        if (text[p] == "." and text[p - 1] in _ABBREVIATION_ENDS
+                and _word_before(text, p) in ABBREVIATIONS):
             continue
-        nxt = text[p + 2]
-        word = _WORD_AFTER_RE.match(text, p + 2)
-        is_marker = word is not None and word.group(0).lower() in MARKER_WORDS
-        if nxt.isupper() or is_marker:
-            breaks.add(p + 2)
+        breaks.append(p + 2)
 
-    for match in _STEP_MARKER_RE.finditer(masked):
-        q = match.start()
-        if q > 0 and text[q - 1] == " ":
-            breaks.add(q)
-
-    return sorted(breaks)
+    markers = [match.start() + 1 for match in _STEP_MARKER_RE.finditer(masked)]
+    return sorted({*breaks, *markers})
 
 
 def _merge_fragments(segments: list[str], min_chars: int) -> list[str]:
@@ -211,17 +216,27 @@ def _merge_fragments(segments: list[str], min_chars: int) -> list[str]:
     in the segments after it until it is no longer small. Merging
     concatenates with a single space, which restores exactly the
     separator dropped at the split, so round-tripping stays byte-exact.
+    Only the first step can be small once it is kept, and a step that is
+    not small stays so as it grows, so `small` runs once per segment, and
+    again only while a small first step grows.
     """
 
     def small(seg: str) -> bool:
         return len(seg) < min_chars or _PUNCT_ONLY_RE.fullmatch(seg) is not None
 
     merged: list[str] = []
+    first_small = False  # the first step is kept and still small
     for seg in segments:
-        if merged and (small(seg) or small(merged[-1])):
+        if first_small:
+            merged[-1] += " " + seg
+            first_small = small(merged[-1])
+        elif not small(seg):
+            merged.append(seg)
+        elif merged:
             merged[-1] += " " + seg
         else:
             merged.append(seg)
+            first_small = True
     return merged
 
 

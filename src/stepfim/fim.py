@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 
 from stepfim.decompose import STEP_SEPARATOR, StepChain
 
@@ -70,6 +71,45 @@ class FimSample:
             "loss_char_start": self.loss_char_start,
             "loss_char_end": self.loss_char_end,
         }
+
+
+# `dumps_line(sample.to_dict())` with its strings left as %s slots for
+# escaped text: the keys of `to_dict` in order, and `psm_text` laid out as
+# `format_psm` does it, its newline already escaped
+_SAMPLE_LINE = (
+    '{"source_id": "%s", "round": %d, "middle_index": %d, "prefix": "%s", "suffix": "%s", '
+    f'"middle": "%s", "psm_text": "{FIM_PREFIX}%s\\n%s{FIM_SUFFIX}%s{FIM_MIDDLE}%s", '
+    '"loss_char_start": %d, "loss_char_end": %d}\n'
+)
+
+
+def samples_jsonl(samples: list[FimSample], question: str, chain: StepChain) -> str:
+    """The JSONL lines of `chain`'s samples, byte for byte `dumps_line(sample.to_dict())`.
+
+    JSON escapes each character on its own, so the escaped text of a join
+    is the join of the escaped parts. The question and each step are
+    escaped once per chain, and every field of every round is joined from
+    them, instead of escaping the chain again in each sample's prefix,
+    suffix and psm_text. Of the samples' texts only `source_id` is read;
+    the rest of each line comes from `round`, `middle_index` and the loss
+    offsets.
+    """
+    def escape(text: str) -> str:
+        return encode_basestring(text)[1:-1]
+
+    sep = escape(STEP_SEPARATOR)
+    steps = [escape(text) for text in chain.texts]
+    question = escape(question)
+    lines = []
+    for sample in samples:
+        i = sample.middle_index
+        prefix = sep.join(steps[:i])
+        suffix = sep.join(steps[i + 1 :])
+        lines.append(_SAMPLE_LINE % (
+            escape(sample.source_id), sample.round, i, prefix, suffix, steps[i],
+            question, prefix, suffix, steps[i], sample.loss_char_start, sample.loss_char_end,
+        ))
+    return "".join(lines)
 
 
 def contains_special_token(text: str) -> bool:

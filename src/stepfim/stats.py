@@ -2,19 +2,20 @@
 
 Counts are streamed in one pass: sample count, token totals and
 averages over the joined solution steps, and average step count.
-Token counting is pluggable; the default splits on whitespace. Absolute
-token numbers are only comparable under the same tokenizer_id, so diffs
-across schemes are refused.
+Tokens are whitespace-separated words, and each summary names that
+scheme as its tokenizer_id. Absolute token numbers are only comparable
+under the same tokenizer_id, so diffs across schemes are refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from stepfim.decompose import STEP_SEPARATOR
 
-Tokenizer = Callable[[str], int]
+#: How `stats` counts tokens: words between whitespace.
+TOKENIZER_ID = "whitespace"
 
 
 class EmptyCorpus(ValueError):
@@ -27,18 +28,6 @@ class TokenizerMismatch(ValueError):
 
 class MalformedRecord(ValueError):
     """A record's steps are missing or not a list of strings."""
-
-
-def _whitespace_count(text: str) -> int:
-    return len(text.split())
-
-
-TOKENIZERS: dict[str, Tokenizer] = {"whitespace": _whitespace_count}
-
-
-def register_tokenizer(tokenizer_id: str, counter: Tokenizer) -> None:
-    """Add a named token counter usable via `stats(..., tokenizer_id=...)`."""
-    TOKENIZERS[tokenizer_id] = counter
 
 
 @dataclass(frozen=True)
@@ -111,18 +100,13 @@ class StatsDelta:
         }
 
 
-def stats(records: Iterable[dict[str, Any]], tokenizer_id: str = "whitespace") -> CorpusStats:
+def stats(records: Iterable[dict[str, Any]]) -> CorpusStats:
     """One-pass statistics over `{id, question, steps}` records.
 
     Tokens are counted on the joined solution steps only; the question
-    is context, not training payload. Raises EmptyCorpus on zero records,
-    MalformedRecord when a record's steps are not a list of strings, and
-    ValueError for an unregistered tokenizer_id.
+    is context, not training payload. Raises EmptyCorpus on zero records
+    and MalformedRecord when a record's steps are not a list of strings.
     """
-    if tokenizer_id not in TOKENIZERS:
-        raise ValueError(f"unknown tokenizer {tokenizer_id!r}; registered: {sorted(TOKENIZERS)}")
-    count_tokens = TOKENIZERS[tokenizer_id]
-
     samples = 0
     total_tokens = 0
     total_steps = 0
@@ -136,7 +120,7 @@ def stats(records: Iterable[dict[str, Any]], tokenizer_id: str = "whitespace") -
             raise MalformedRecord(f"record {samples + 1}: steps must all be strings: {exc}") from exc
         samples += 1
         total_steps += len(steps)
-        total_tokens += count_tokens(text)
+        total_tokens += len(text.split())
     if samples == 0:
         raise EmptyCorpus("no records to summarize")
     return CorpusStats(
@@ -144,7 +128,7 @@ def stats(records: Iterable[dict[str, Any]], tokenizer_id: str = "whitespace") -
         avg_tokens=total_tokens / samples,
         total_tokens=total_tokens,
         avg_steps=total_steps / samples,
-        tokenizer_id=tokenizer_id,
+        tokenizer_id=TOKENIZER_ID,
     )
 
 

@@ -7,9 +7,10 @@ of difflib so the production function is checked against genuinely
 independent arithmetic.
 
 The splitter reference keeps, verbatim, the character-at-a-time
-math-span scanner, the per-break span check and the carry-based fragment
-merge that `stepfim.decompose` replaced with regex searches over a
-masked copy and a single merge pass. `reference_decompose` runs
+math-span scanner, the per-candidate break checks with the three regexes
+they used, and the carry-based fragment merge that `stepfim.decompose`
+replaced with regex searches over a masked copy, a break rule in one
+lookahead and a single merge pass. `reference_decompose` runs
 `decompose` with them, so the search-based splitter is checked against
 the walking one on spans, breaks, chains and error messages.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import importlib
 import json
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from unittest import mock
@@ -28,9 +30,6 @@ from stepfim.decompose import (
     ABBREVIATIONS,
     MARKER_WORDS,
     _PUNCT_ONLY_RE,
-    _SENTENCE_END_RE,
-    _STEP_MARKER_RE,
-    _WORD_AFTER_RE,
     StepChain,
     UnbalancedMath,
     _word_before,
@@ -172,6 +171,11 @@ def _scan_math_spans(text: str) -> list[tuple[int, int]]:
             continue
         i += 1
     return spans
+
+
+_STEP_MARKER_RE = re.compile(r"Step \d+[:.]")
+_SENTENCE_END_RE = re.compile(r"[.!?]")
+_WORD_AFTER_RE = re.compile(r"[A-Za-z]+")
 
 
 def _in_any_span(pos: int, spans: list[tuple[int, int]]) -> bool:

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from helpers import StubCompletionServer
@@ -34,6 +36,8 @@ def _read_jsonl(path):
     with open(path, encoding="utf-8") as handle:
         return [json.loads(line) for line in handle if line.strip()]
 
+
+DATA = Path(__file__).parent / "data"
 
 CHAIN = {"id": "c0", "question": "What is 2 + 3?", "steps": ["Add 2 and 3.", "The answer is 5."]}
 
@@ -160,6 +164,28 @@ class TestDecompose:
         assert f"2 chains written, {len(rows)} records rejected" in result.stderr
 
 
+    def test_repeated_ids_are_counted_on_the_summary_line(self, tmp_path, capsys):
+        rows = self._cot_rows()
+        inp, out = tmp_path / "cot.jsonl", tmp_path / "chains.jsonl"
+        _write_jsonl(inp, rows)
+        assert cli.main(["decompose", "--input", str(inp), "--output", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "decompose: 2 chains written, 0 records rejected"
+        )
+        unique = out.read_bytes()
+
+        # "c0" again, 7 and "7" (one id once read), and two records without an id
+        extra = [{**rows[0], "id": 7}, {**rows[0], "id": "7"}, rows[0],
+                 {"question": "q?", "solution": "No id at all here."},
+                 {"question": "q?", "solution": "No id at all here."}]
+        _write_jsonl(inp, rows + extra)
+        assert cli.main(["decompose", "--input", str(inp), "--output", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "decompose: 5 chains written, 2 records rejected, 2 records repeat an earlier id"
+        )
+        assert out.read_bytes().startswith(unique)
+
+
 class TestBuildFim:
     def test_emits_rounds_samples_per_chain(self, synth_dir, tmp_path):
         out = tmp_path / "fim.jsonl"
@@ -214,6 +240,25 @@ class TestBuildFim:
         assert {sample["source_id"] for sample in _read_jsonl(out)} == {"c0"}
 
 
+    def test_repeated_ids_are_counted_on_the_summary_line(self, tmp_path, capsys):
+        inp, out = tmp_path / "chains.jsonl", tmp_path / "fim.jsonl"
+        argv = ["build-fim", "--input", str(inp), "--output", str(out), "--seed", "7"]
+        _write_jsonl(inp, [CHAIN])
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "build-fim: 3 samples written, 0 records skipped"
+        )
+        once = out.read_bytes()
+
+        _write_jsonl(inp, [CHAIN, CHAIN])
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "build-fim: 6 samples written, 0 records skipped, 1 records repeat an earlier id"
+        )
+        # draws are keyed by the id, so the repeat gets the same samples
+        assert out.read_bytes() == once * 2
+
+
 class TestExpand:
     def test_oracle_backend_restores_dropped_steps(self, synth_dir, tmp_path):
         out, report = tmp_path / "expanded.jsonl", tmp_path / "report.jsonl"
@@ -223,6 +268,18 @@ class TestExpand:
         )
         assert result.returncode == 0, result.stderr
         assert out.read_bytes() == (synth_dir / "fine.jsonl").read_bytes()
+
+    def test_repeated_ids_are_counted_on_the_summary_line(self, synth_dir, tmp_path, capsys):
+        rows = _read_jsonl(synth_dir / "coarse.jsonl")
+        inp, out = tmp_path / "coarse.jsonl", tmp_path / "expanded.jsonl"
+        _write_jsonl(inp, rows + rows[:2])
+        assert cli.main(["expand", "--input", str(inp), "--output", str(out),
+                         "--backend", "oracle"]) == 0
+        summary = capsys.readouterr().err.splitlines()[-1]
+        assert summary.startswith("expand: 14 records (0 failed), ")
+        assert summary.endswith(" 1 request in flight at most, 2 records repeat an earlier id")
+        fine = (synth_dir / "fine.jsonl").read_bytes()
+        assert out.read_bytes() == fine + b"".join(fine.splitlines(keepends=True)[:2])
 
     def test_report_opens_with_the_run_config(self, synth_dir, tmp_path):
         out, report = tmp_path / "expanded.jsonl", tmp_path / "report.jsonl"
@@ -588,8 +645,7 @@ class TestExitCodesAndConfig:
         result = run_cli("stats", "--input", str(synth_dir / "fine.jsonl"))
         echo = json.loads(result.stderr.splitlines()[0])
         assert echo["subcommand"] == "stats"
-        assert echo["config"]["tokenizer"] == "whitespace"
-        assert echo["config"]["input"] == str(synth_dir / "fine.jsonl")
+        assert echo["config"] == {"input": str(synth_dir / "fine.jsonl"), "output": ""}
 
     def test_config_file_fills_in_missing_flags(self, synth_dir, tmp_path):
         cfg = tmp_path / "run.json"
@@ -729,3 +785,22 @@ class TestPipeline:
             parts = [sample["prefix"], sample["middle"], sample["suffix"]]
             joined = "\n".join(p for p in parts if p)
             assert "2 + 3 = 5" in joined
+
+
+class TestGoldenPrep:
+    def test_decompose_build_fim_and_stats_match_the_checked_in_hashes(self, tmp_path):
+        """A free-text corpus with math spans, abbreviations, markers, non-ASCII
+        text, quotes, backslashes and control characters; the hashes pin every
+        output byte of the prep path."""
+        want = dict(line.split()[::-1] for line in
+                    (DATA / "prep_golden.sha256").read_text(encoding="ascii").splitlines())
+        out = {name: str(tmp_path / name) for name in want}
+        assert cli.main(["decompose", "--input", str(DATA / "prep_golden.jsonl"),
+                         "--output", out["chains.jsonl"], "--rejects", out["rejects.jsonl"]]) == 0
+        assert cli.main(["build-fim", "--input", out["chains.jsonl"], "--output",
+                         out["fim.jsonl"], "--rounds", "3", "--seed", "7"]) == 0
+        assert cli.main(["stats", "--input", out["chains.jsonl"],
+                         "--output", out["stats.json"]]) == 0
+        got = {name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+               for name, path in out.items()}
+        assert got == want

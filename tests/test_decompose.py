@@ -74,6 +74,24 @@ class TestSplitting:
             "Therefore we may reuse the result.",
         ]
 
+    @pytest.mark.parametrize(
+        "word, splits",
+        [
+            ("Élan", True),
+            ("Ωmega", True),
+            ("\u212aelvin", True),  # the Kelvin sign is upper case
+            ("élan", False),
+            ("ǅemal", False),  # titlecase, not upper case
+            ("fIRST", True),  # marker words match in any ASCII case
+            ("firſt", False),  # but a long s is no "s"
+            ("firstly", False),
+            ("thence", False),
+        ],
+    )
+    def test_what_may_open_a_sentence_step(self, word, splits):
+        out = texts(f"We are done with this part. {word} goes on from here.")
+        assert len(out) == (2 if splits else 1)
+
     def test_whitespace_runs_collapse(self):
         out = texts("First we   add numbers\nacross lines. Then we stop here.")
         assert out == ["First we add numbers across lines.", "Then we stop here."]
@@ -132,6 +150,11 @@ _MATH_ATOMS = [
     "$", "$$", "\\(", "\\)", "\\[", "\\]", "\\begin{a}", "\\end{a}", "\\begin{", "\\end{",
     "{", "}", "\\$", "\\", "\\\\", ".", "!", "?", " ", "  ", "\n", "Step 1:", "Step 2.",
     "e.g.", "Dr.", "3.5", "x", "A", "Then", "then", "First", "Therefore",
+    # non-ASCII capitals and lowercase, a titlecase letter (not isupper), the Kelvin
+    # sign, a long s that Unicode case folding reads as "s", bracketed abbreviations,
+    # a step number in Arabic-Indic digits, and sentence ends with their space
+    "É", "é", "Ω", "ǅ", "\u212a", "firſt", "FIRST", "firstly", "Thence", "(e.g.", "[Dr.",
+    "{cf.", "Step 12:", "Step ١:", "(", "[", ". ", "? ",
 ]
 
 

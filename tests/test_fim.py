@@ -5,7 +5,7 @@ from __future__ import annotations
 import collections
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from stepfim.decompose import StepChain, join
 from stepfim.fim import (
@@ -16,12 +16,15 @@ from stepfim.fim import (
     MalformedPsm,
     SamplerConfig,
     SpecialTokenCollision,
+    contains_special_token,
     format_prompt,
     format_psm,
     parse_psm,
     reassemble,
     sample_fim,
+    samples_jsonl,
 )
+from stepfim.jsonl import dumps_line
 
 STEP_TEXT = st.text(
     alphabet="abcdefghij 0123456789+-*=.", min_size=1, max_size=30
@@ -202,3 +205,25 @@ class TestSampling:
         for sample in sample_fim(chain, "Q?", SamplerConfig(rounds=2, seed=seed), "rid"):
             assert reassemble(sample.prefix, sample.middle, sample.suffix) == join(chain)
             assert sample.psm_text[sample.loss_char_start : sample.loss_char_end] == sample.middle
+
+
+# any text, control characters, quotes and backslashes included
+CLEAN_TEXT = st.text().filter(lambda text: not contains_special_token(text))
+
+
+class TestJsonLines:
+    @settings(max_examples=300)
+    @given(
+        st.lists(CLEAN_TEXT.map(str.strip).filter(bool), min_size=1, max_size=8),
+        CLEAN_TEXT,
+        st.text(),
+        st.integers(0, 2**64 - 1),
+        st.integers(1, 4),
+    )
+    def test_lines_equal_json_dumps_of_each_sample(self, steps, question, source_id, seed,
+                                                   rounds):
+        chain = StepChain.from_texts(steps)
+        samples = sample_fim(chain, question, SamplerConfig(rounds=rounds, seed=seed),
+                             source_id=source_id)
+        expected = "".join(dumps_line(sample.to_dict()) for sample in samples)
+        assert samples_jsonl(samples, question, chain) == expected

@@ -1,4 +1,4 @@
-"""Corpus statistics: counting, pluggable tokenizers, percentage deltas."""
+"""Corpus statistics: whitespace token counts, percentage deltas."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from stepfim.stats import (
     EmptyCorpus,
     TokenizerMismatch,
     diff_stats,
-    register_tokenizer,
     render_pct,
     stats,
 )
@@ -71,16 +70,8 @@ class TestStats:
         with pytest.raises(EmptyCorpus):
             stats([])
 
-    def test_unknown_tokenizer_is_refused(self):
-        with pytest.raises(ValueError, match="unknown tokenizer"):
-            stats([_row(["a"])], tokenizer_id="bpe-32k")
-
-    def test_custom_tokenizer_is_used_once_registered(self):
-        register_tokenizer("chars-test", len)
-        result = stats([_row(["abc", "de"])], tokenizer_id="chars-test")
-        # "abc" + separator + "de" is six characters
-        assert result.total_tokens == 6
-        assert result.tokenizer_id == "chars-test"
+    def test_summaries_name_the_whitespace_tokenizer(self):
+        assert stats([_row(["abc", "de"])]).tokenizer_id == "whitespace"
 
     def test_round_trips_through_a_plain_dict(self):
         result = stats([_row(["a b"]), _row(["c"])])
