@@ -2,9 +2,10 @@
 
 Three kinds:
 
-- http: POSTs a completion-style request to a remote endpoint. The prompt
-  is the PSM serialization ending at the middle token; stop sequences are
-  the three special tokens.
+- http: POSTs a completion-style request to a remote endpoint over the
+  standard library's `http.client`, one keep-alive connection per worker
+  thread. The prompt is the PSM serialization ending at the middle token;
+  stop sequences are the three special tokens.
 - oracle: answers from the synthetic-corpus ground truth.
 - replay: answers from a recorded fixture file, for offline tests.
 
@@ -17,12 +18,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import time
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Protocol
-
-import requests as _requests
+from urllib.parse import urlsplit
 
 from stepfim import fim, synth
 from stepfim.decompose import STEP_SEPARATOR
@@ -83,8 +84,12 @@ class BackendConfig:
     def __post_init__(self) -> None:
         if self.kind not in BACKEND_KINDS:
             raise ValueError(f"unknown backend kind {self.kind!r}")
-        if self.kind == "http" and not self.endpoint_url:
-            raise ValueError("http backend requires endpoint_url")
+        if self.kind == "http":
+            url = urlsplit(self.endpoint_url)
+            url.port  # raises ValueError on a port that is not a number in range
+            if url.scheme not in ("http", "https") or not url.hostname:
+                raise ValueError(f"http backend requires an http:// or https:// endpoint_url with a host, "
+                                 f"not {self.endpoint_url!r}")
         if self.kind == "replay" and not self.fixture_path:
             raise ValueError("replay backend requires fixture_path")
         lows = {"retry_limit": 0, "timeout_ms": 1, "backoff_ms": 0, "max_new_chars": 1}
@@ -101,7 +106,8 @@ class FimBackend(Protocol):
     (it computes its answer in-process), so `expand` runs every fill on the
     calling thread: more threads would only take turns on the interpreter
     lock. A backend without the attribute is taken to wait (a network call,
-    a sleep) and gets `max_in_flight` worker threads.
+    a sleep) and gets `max_in_flight` worker threads. The `expand`
+    subcommand calls a backend's `close()`, if it has one, after the last fill.
     """
 
     def fill(self, request: FimRequest) -> str: ...
@@ -152,17 +158,26 @@ class HttpBackend:
     ``choices[0].text``). Auth, when configured, is a bearer token read
     from the environment variable named by ``auth_token_env`` so tokens
     never appear on command lines.
+
+    Each filling thread keeps one keep-alive `http.client` connection, and
+    a failed attempt closes it; `close` closes them all. Proxy variables
+    and ``~/.netrc`` are not read; HTTPS is verified by `ssl`'s default
+    context against the system CA store.
     """
 
     waits = True
     RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 
     def __init__(self, config: BackendConfig):
+        import http.client  # and so ssl: only a process that speaks HTTP loads them
+
         self.config = config
-        self._session = _requests.Session()
-        adapter = _requests.adapters.HTTPAdapter(pool_connections=8, pool_maxsize=32)
-        self._session.mount("http://", adapter)
-        self._session.mount("https://", adapter)
+        url = urlsplit(config.endpoint_url)
+        self._connection_class = http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
+        self._address = (url.hostname, url.port)
+        self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        self._errors = (OSError, http.client.HTTPException)
+        self._local, self._lock, self._connections = threading.local(), threading.Lock(), []
         self._headers = {"Content-Type": "application/json"}
         if config.auth_token_env:
             token = os.environ.get(config.auth_token_env)
@@ -182,30 +197,61 @@ class HttpBackend:
             "max_tokens": self.config.max_new_chars,
             "temperature": 0.0,
         }
-        timeout = self.config.timeout_ms / 1000.0
+        data = json.dumps(body).encode("utf-8")
         last_error: Exception | None = None
         for attempt in range(self.config.retry_limit + 1):
             if attempt > 0:
                 time.sleep(self.config.backoff_ms * attempt / 1000.0)
             try:
-                resp = self._session.post(
-                    self.config.endpoint_url, json=body, headers=self._headers, timeout=timeout
-                )
-            except _requests.RequestException as exc:
+                status, payload = self._post(data)
+            except self._errors as exc:
                 last_error = exc
                 continue
-            if resp.status_code in self.RETRYABLE_STATUS:
-                last_error = TransportError(f"HTTP {resp.status_code} from completion endpoint")
+            if status in self.RETRYABLE_STATUS:
+                last_error = TransportError(f"HTTP {status} from completion endpoint")
                 continue
-            if resp.status_code != 200:
-                raise TransportError(f"HTTP {resp.status_code} from completion endpoint")
-            return self._extract(resp)[: self.config.max_new_chars]
+            if status != 200:
+                raise TransportError(f"HTTP {status} from completion endpoint")
+            return self._extract(payload)[: self.config.max_new_chars]
         raise TransportError(f"completion request failed after {self.config.retry_limit} retries: {last_error}")
 
-    @staticmethod
-    def _extract(resp: _requests.Response) -> str:
+    def _post(self, data: bytes) -> tuple[int, bytes]:
+        """One POST on this thread's connection, opened on its first call."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = self._connection_class(*self._address, timeout=self.config.timeout_ms / 1000)
+            with self._lock:
+                self._connections.append(conn)
+        # a kept-alive connection that the server had closed raises one of these before
+        # any status line (http.client.RemoteDisconnected is a ConnectionResetError);
+        # then the POST goes once more on a fresh connection, and is no attempt
+        stale = (ConnectionResetError, BrokenPipeError) if conn.sock is not None else ()
         try:
-            data = resp.json()
+            try:
+                conn.request("POST", self._path, data, self._headers)
+                response = conn.getresponse()
+            except stale:
+                conn.close()
+                conn.request("POST", self._path, data, self._headers)
+                response = conn.getresponse()
+            payload = response.read()
+        except BaseException:
+            conn.close()
+            raise
+        if response.status != 200:
+            conn.close()
+        return response.status, payload
+
+    def close(self) -> None:
+        """Close every thread's connection; a later fill opens a new one."""
+        with self._lock:
+            for conn in self._connections:
+                conn.close()
+
+    @staticmethod
+    def _extract(payload: bytes) -> str:
+        try:
+            data = json.loads(payload)
         except ValueError as exc:
             raise TransportError(f"non-JSON completion response: {exc}") from exc
         if isinstance(data, dict):

@@ -21,7 +21,7 @@ import socket
 import sys
 import time
 from typing import Any, Callable, TextIO
-from urllib.parse import urlparse
+from urllib.parse import urlsplit
 
 from stepfim.backends import BACKEND_KINDS, BackendConfig, BadFixture, make_backend
 from stepfim.decompose import DecomposeConfig, chain_record, decompose, record_id, record_question
@@ -314,11 +314,9 @@ def cmd_build_fim(cfg: dict[str, Any]) -> int:
 
 
 def _probe_endpoint(url: str, timeout_s: float = 5.0) -> None:
-    parsed = urlparse(url)
-    host = parsed.hostname
-    if not host:
-        raise UsageError(f"endpoint URL {url!r} has no host")
-    port = parsed.port or (443 if parsed.scheme == "https" else 80)
+    """Connect once; `BackendConfig` has checked that the URL has a host."""
+    parsed = urlsplit(url)
+    host, port = parsed.hostname, parsed.port or (443 if parsed.scheme == "https" else 80)
     try:
         socket.create_connection((host, port), timeout=timeout_s).close()
     except OSError as exc:
@@ -337,12 +335,13 @@ def cmd_expand(cfg: dict[str, Any]) -> int:
               "malformed": 0, "errored": 0}
     repeated = _RepeatedIds()
     started = time.perf_counter()
+    results = expand_records(read_jsonl(cfg["input"]), backend, econf)
     report_handle = _open_out(cfg["report"]) if cfg["report"] else None
     try:
         if report_handle is not None:
             report_handle.write(dumps_line({"config": cfg}))
         with _open_out(cfg["output"]) as out:
-            for row, reports in expand_records(read_jsonl(cfg["input"]), backend, econf):
+            for row, reports in results:
                 out.write(dumps_line(row))
                 repeated.see(row)
                 counts["records"] += 1
@@ -356,6 +355,8 @@ def cmd_expand(cfg: dict[str, Any]) -> int:
                     if report_handle is not None:
                         report_handle.write(dumps_line(report.to_dict()))
     finally:
+        results.close()  # waits for running fills, so no connection is in use below
+        getattr(backend, "close", lambda: None)()
         if report_handle is not None:
             report_handle.close()
     elapsed = time.perf_counter() - started

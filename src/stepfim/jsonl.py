@@ -19,7 +19,7 @@ def read_jsonl(path: str) -> Iterator[dict[str, Any]]:
                 continue
             try:
                 row = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also an int past the 4,300-digit conversion limit
                 raise JsonlError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             if not isinstance(row, dict):
                 raise JsonlError(f"{path}:{lineno}: expected a JSON object")

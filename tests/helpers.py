@@ -17,9 +17,11 @@ the walking one on spans, breaks, chains and error messages.
 
 from __future__ import annotations
 
+import contextlib
 import importlib
 import json
 import re
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from unittest import mock
@@ -266,9 +268,10 @@ class _StubHandler(BaseHTTPRequestHandler):
             body = raw.decode("utf-8", "replace")
         with self.server.lock:
             index = len(self.server.seen)
-            self.server.seen.append(
-                {"path": self.path, "body": body, "headers": dict(self.headers)}
-            )
+            self.server.seen.append({
+                "path": self.path, "body": body, "headers": dict(self.headers),
+                "client_address": self.client_address,
+            })
         script = self.server.script
         status, payload = script[min(index, len(script) - 1)]
         data = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
@@ -282,17 +285,40 @@ class _StubHandler(BaseHTTPRequestHandler):
         pass
 
 
+class _KeepAliveStubHandler(_StubHandler):
+    """HTTP/1.1: a connection serves requests until the client closes it."""
+
+    protocol_version = "HTTP/1.1"
+
+    def setup(self):
+        super().setup()
+        self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        with self.server.lock:
+            self.server.open.add(self.connection)
+
+    def finish(self):
+        with self.server.lock:
+            self.server.open.discard(self.connection)
+        super().finish()
+
+
 class StubCompletionServer:
     """Local HTTP server that replays a scripted list of (status, payload).
 
     The last script entry repeats for any further requests. `seen` holds
-    one entry per request: path, parsed body, and headers.
+    one entry per request: path, parsed body, headers and the client's
+    (host, port), which names the connection the request came on. By
+    default every response closes its connection (HTTP/1.0); with
+    `keep_alive=True` connections stay open (HTTP/1.1, TCP_NODELAY) until
+    the client closes them or `drop_connections` does.
     """
 
-    def __init__(self, script: list[tuple[int, object]]):
-        self._server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
+    def __init__(self, script: list[tuple[int, object]], keep_alive: bool = False):
+        handler = _KeepAliveStubHandler if keep_alive else _StubHandler
+        self._server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
         self._server.script = script
         self._server.seen = []
+        self._server.open = set()
         self._server.lock = threading.Lock()
         self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
 
@@ -302,8 +328,19 @@ class StubCompletionServer:
 
     def __exit__(self, *exc) -> None:
         self._server.shutdown()
+        self.drop_connections()
         self._server.server_close()
         self._thread.join(timeout=5)
+
+    def drop_connections(self) -> None:
+        """Shut every open keep-alive connection, as a server drops an idle one.
+
+        The responses on it promised to keep it open (no `Connection: close`).
+        """
+        with self._server.lock:
+            for conn in self._server.open:
+                with contextlib.suppress(OSError):  # the client may have closed it first
+                    conn.shutdown(socket.SHUT_RDWR)
 
     @property
     def url(self) -> str:

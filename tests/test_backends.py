@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import subprocess
+import sys
+import threading
 
 import pytest
 
@@ -257,6 +260,90 @@ class TestHttpBackend:
             assert backend.fill(_request()) == "x" * 10
 
 
+class TestKeepAliveConnections:
+    def test_two_fills_reuse_one_connection(self):
+        with StubCompletionServer([(200, {"completion": "ok"})], keep_alive=True) as server:
+            backend = HttpBackend(_http_config(server.url))
+            try:
+                assert backend.fill(_request()) == backend.fill(_request(2, 3)) == "ok"
+            finally:
+                backend.close()
+            assert len(server.seen) == 2
+            assert server.seen[0]["client_address"] == server.seen[1]["client_address"]
+
+    def test_a_dropped_idle_connection_is_reopened_without_using_a_retry(self):
+        with StubCompletionServer([(200, {"completion": "ok"})], keep_alive=True) as server:
+            backend = HttpBackend(_http_config(server.url, retry_limit=0))
+            try:
+                assert backend.fill(_request()) == "ok"
+                server.drop_connections()
+                assert backend.fill(_request()) == "ok"
+            finally:
+                backend.close()
+            assert len(server.seen) == 2
+            assert server.seen[0]["client_address"] != server.seen[1]["client_address"]
+
+    def test_a_failed_attempt_reconnects(self):
+        script = [(503, {"error": "busy"}), (200, {"completion": "ok"})]
+        with StubCompletionServer(script, keep_alive=True) as server:
+            backend = HttpBackend(_http_config(server.url, retry_limit=1))
+            try:
+                assert backend.fill(_request()) == "ok"
+            finally:
+                backend.close()
+            assert server.seen[0]["client_address"] != server.seen[1]["client_address"]
+
+    def test_close_closes_every_threads_connection(self):
+        def fill_three_times():
+            for _ in range(3):
+                backend.fill(_request())
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more thread switches, for a lost update to the list to show
+        try:
+            with StubCompletionServer([(200, {"completion": "ok"})], keep_alive=True) as server:
+                backend = HttpBackend(_http_config(server.url))
+                threads = [threading.Thread(target=fill_three_times) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                backend.close()
+                assert len(server.seen) == 24
+                assert len({seen["client_address"] for seen in server.seen}) == 8
+                assert len(backend._connections) == 8
+                assert all(conn.sock is None for conn in backend._connections)
+        finally:
+            sys.setswitchinterval(switch)
+
+
+def test_the_runtime_imports_no_http_library_until_it_fills(tmp_path):
+    script = tmp_path / "fill.py"
+    script.write_text(
+        "import sys\n"
+        "sys.modules['requests'] = sys.modules['urllib3'] = None\n"
+        "import stepfim.cli\n"
+        "names = ('requests', 'urllib3', 'http.client', 'ssl')\n"
+        "print([name for name in names if sys.modules.get(name) is not None])\n"
+        "from stepfim.backends import BackendConfig, FimRequest, HttpBackend\n"
+        "backend = HttpBackend(BackendConfig(kind='http', endpoint_url=sys.argv[1]))\n"
+        "try:\n"
+        "    print(backend.fill(FimRequest('q?', ('a.',), ('b.',))))\n"
+        "finally:\n"
+        "    backend.close()\n",
+        encoding="utf-8",
+    )
+    with StubCompletionServer([(200, {"completion": "filled"})], keep_alive=True) as server:
+        result = subprocess.run(
+            [sys.executable, "-W", "error::ResourceWarning", str(script), server.url],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\nfilled\n"
+        assert len(server.seen) == 1
+
+
 class TestFactoryAndConfig:
     def test_factory_builds_each_kind(self, tmp_path):
         fixture = tmp_path / "f.jsonl"
@@ -272,6 +359,12 @@ class TestFactoryAndConfig:
     def test_http_requires_endpoint(self):
         with pytest.raises(ValueError):
             BackendConfig(kind="http")
+
+    @pytest.mark.parametrize("url", ["ftp://127.0.0.1:21/x", "http:///x", "127.0.0.1:8000/x",
+                                     "http://h:99999/x", "http://h:port/x"])
+    def test_http_requires_an_http_url_with_a_host(self, url):
+        with pytest.raises(ValueError):
+            BackendConfig(kind="http", endpoint_url=url)
 
     def test_replay_requires_fixture_path(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import pytest
 from helpers import StubCompletionServer
@@ -401,6 +402,40 @@ class TestExpand:
         (line,) = _read_jsonl(report)[1:]
         assert sorted(p["decision"] for p in line["proposals"]) == ["backend_error", "valid"]
 
+    def test_workers_keep_one_connection_each(self, tmp_path, capsys):
+        inp, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        _write_jsonl(inp, [{**CHAIN, "id": f"c{i}"} for i in range(20)])
+        script = [(200, {"completion": "Write down both numbers."})]
+        with StubCompletionServer(script, keep_alive=True) as server:
+            code = cli.main([
+                "expand", "--input", str(inp), "--output", str(out), "--backend", "http",
+                "--endpoint-url", server.url, "--max-in-flight", "4",
+            ])
+        assert code == 0, capsys.readouterr().err
+        assert len(server.seen) == 20
+        assert len({seen["client_address"] for seen in server.seen}) <= 4
+
+    @pytest.mark.parametrize("url", ["ftp://127.0.0.1:{port}/x", "http:///v1/completions"])
+    @pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config-file"])
+    def test_an_endpoint_that_is_not_an_http_url_exits_one(self, tmp_path, url, by_config):
+        inp, cfg = tmp_path / "in.jsonl", tmp_path / "run.json"
+        _write_jsonl(inp, [CHAIN])
+        with StubCompletionServer([(200, {"completion": "x"})]) as server:
+            url = url.format(port=urlsplit(server.url).port)
+            argv = ["expand", "--input", str(inp), "--output", str(tmp_path / "out.jsonl"),
+                    "--backend", "http"]
+            if by_config:
+                cfg.write_text(json.dumps({"endpoint_url": url}), encoding="utf-8")
+                argv += ["--config", str(cfg)]
+            else:
+                argv += ["--endpoint-url", url]
+            result = run_cli(*argv)
+            assert server.seen == []
+        # rejected before the probe, so the open port is never tried
+        assert result.returncode == 1, result.stderr
+        assert "requires an http:// or https:// endpoint_url with a host" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_unreachable_endpoint_exits_three(self, synth_dir, tmp_path):
         result = run_cli(
             "expand", "--input", str(synth_dir / "coarse.jsonl"),
@@ -640,6 +675,23 @@ class TestExitCodesAndConfig:
         )
         assert result.returncode == 2
         assert "bad.jsonl:1" in result.stderr
+
+    @pytest.mark.parametrize("cmd", ["decompose", "build-fim", "expand", "stats"])
+    def test_an_integer_past_the_conversion_limit_exits_two(self, tmp_path, cmd):
+        inp, out = tmp_path / "in.jsonl", str(tmp_path / "out.jsonl")
+        # json.loads raises a plain ValueError here, not a JSONDecodeError
+        inp.write_text('{"id": ' + "9" * 5000 + ', "question": "q?", "steps": ["a"]}\n',
+                       encoding="utf-8")
+        argv = {
+            "decompose": ["--output", out],
+            "build-fim": ["--output", out, "--seed", "1"],
+            "expand": ["--output", out, "--backend", "oracle"],
+            "stats": [],
+        }[cmd]
+        result = run_cli(cmd, "--input", str(inp), *argv)
+        assert result.returncode == 2, result.stderr
+        assert "in.jsonl:1: invalid JSON" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_stderr_opens_with_the_effective_config(self, synth_dir):
         result = run_cli("stats", "--input", str(synth_dir / "fine.jsonl"))
