@@ -86,7 +86,10 @@ class BackendConfig:
             raise ValueError(f"unknown backend kind {self.kind!r}")
         if self.kind == "http":
             url = urlsplit(self.endpoint_url)
-            url.port  # raises ValueError on a port that is not a number in range
+            try:
+                url.port
+            except ValueError as exc:
+                raise ValueError(f"endpoint_url {self.endpoint_url!r} has a bad port: {exc}") from None
             if url.scheme not in ("http", "https") or not url.hostname:
                 raise ValueError(f"http backend requires an http:// or https:// endpoint_url with a host, "
                                  f"not {self.endpoint_url!r}")

@@ -370,7 +370,8 @@ def cmd_expand(cfg: dict[str, Any]) -> int:
     )
     if counts["errored"] and not (counts["inserted"] or counts["invalid"] or counts["malformed"]):
         _note(f"error: every gap ended in backend_error ({counts['errored']} attempted)")
-        return 3
+        # an in-process backend fails only on its data, never on a connection
+        return 3 if bconf.kind == "http" else 2
     return 0
 
 

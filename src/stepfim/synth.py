@@ -3,9 +3,11 @@
 Each problem is a left-nested integer expression such as ((2 + 3) * 4) - 5.
 Its fine chain has one "Compute a op b = c." step per operation plus a
 final "The answer is v." step; the coarse chain omits a known subset of
-the computation steps. Because the dropped steps can be re-derived from
-the question alone, `oracle_fill` acts as a perfect deterministic
-stand-in for a trained fill-in-the-middle model.
+the computation steps, never two adjacent ones. Because the dropped steps
+can be re-derived from the question alone, `oracle_fill` acts as a
+perfect deterministic stand-in for a trained fill-in-the-middle model.
+`fine_steps_for_question` re-derives them in one left-to-right pass with
+an explicit stack, so no nesting depth is too deep for it.
 """
 
 from __future__ import annotations
@@ -112,14 +114,13 @@ def _drop_indices(rng: random.Random, spec: CorpusSpec, n_ops: int) -> tuple[int
     """
     if spec.drop == "every-other":
         return tuple(range(1, n_ops, 2))
-    candidates = list(range(1, n_ops))
-    if spec.drop_k > (len(candidates) + 1) // 2:
-        raise SpecError(f"cannot drop {spec.drop_k} non-adjacent of {n_ops} steps")
-    for _ in range(200):
-        picked = sorted(rng.sample(candidates, spec.drop_k))
-        if all(b - a > 1 for a, b in zip(picked, picked[1:])):
-            return tuple(picked)
-    raise SpecError("drop pattern rejection sampling failed")
+    # k non-adjacent picks among the m candidates 1..n_ops-1 are k slots
+    # among m - k + 1, each shifted by the number of picks before it
+    m, k = n_ops - 1, spec.drop_k
+    if k > (m + 1) // 2:
+        raise SpecError(f"cannot drop {k} non-adjacent of {n_ops} steps")
+    slots = sorted(rng.sample(range(m - k + 1), k))
+    return tuple(1 + slot + i for i, slot in enumerate(slots))
 
 
 def _build_steps(rng: random.Random, spec: CorpusSpec) -> tuple[str, list[str]] | None:
@@ -179,75 +180,58 @@ def generate(spec: CorpusSpec) -> list[SyntheticProblem]:
     return problems
 
 
-class _Parser:
-    """Recursive-descent parser for fully parenthesized integer expressions."""
-
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def _peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _take(self) -> str:
-        tok = self._peek()
-        if tok is None:
-            raise UnparsableQuestion("unexpected end of expression")
-        self.pos += 1
-        return tok
-
-    def parse_expr(self):
-        left = self.parse_primary()
-        if self._peek() in ALLOWED_OPERATORS:
-            op = self._take()
-            right = self.parse_primary()
-            return (left, op, right)
-        return left
-
-    def parse_primary(self):
-        tok = self._take()
-        if tok == "(":
-            node = self.parse_expr()
-            if self._take() != ")":
-                raise UnparsableQuestion("expected closing paren")
-            return node
-        if re.fullmatch(r"-?\d+", tok):
-            return int(tok)
-        raise UnparsableQuestion(f"unexpected token {tok!r}")
-
-
-def _parse_expression(expr: str):
-    tokens = _TOKEN_RE.findall(expr)
-    if "".join(tokens).replace(" ", "") != expr.replace(" ", ""):
-        raise UnparsableQuestion(f"cannot tokenize {expr!r}")
-    parser = _Parser(tokens)
-    node = parser.parse_expr()
-    if parser.pos != len(tokens):
-        raise UnparsableQuestion("trailing tokens in expression")
-    return node
-
-
-def _emit_steps(node, steps: list[str]) -> int:
-    """Evaluate post-order, appending one rendered step per operation."""
-    if isinstance(node, int):
-        return node
-    left, op, right = node
-    a = _emit_steps(left, steps)
-    b = _emit_steps(right, steps)
-    c = _apply(a, op, b)
-    steps.append(STEP_TEMPLATE.format(a=a, op=op, b=b, c=c))
-    return c
-
-
 def fine_steps_for_question(question: str) -> list[str]:
-    """Re-derive the full fine chain from a synthetic question."""
+    """Re-derive the full fine chain from a synthetic question.
+
+    Evaluates the expression in one left-to-right pass. `stack` holds the
+    (left operand, operator) of each open expression, innermost last; both
+    are None until the left operand is known. A step is appended as soon
+    as both operands of an operation are known, so steps come out in
+    post-order.
+    """
     match = _QUESTION_RE.match(question.strip())
     if match is None:
         raise UnparsableQuestion(f"not a synthetic question: {question!r}")
+    expr = match.group(1)
+    tokens = _TOKEN_RE.findall(expr)
+    if "".join(tokens).replace(" ", "") != expr.replace(" ", ""):
+        raise UnparsableQuestion(f"cannot tokenize {expr!r}")
     steps: list[str] = []
-    value = _emit_steps(_parse_expression(match.group(1)), steps)
-    steps.append(ANSWER_TEMPLATE.format(v=value))
-    return steps
+    stack: list[tuple] = [(None, None)]
+    pos, end = 0, len(tokens)
+    while True:
+        if pos == end:
+            raise UnparsableQuestion("unexpected end of expression")
+        tok = tokens[pos]
+        pos += 1
+        if tok == "(":
+            stack.append((None, None))
+            continue
+        if tok in ")+*-":  # every other token of _TOKEN_RE is an integer
+            raise UnparsableQuestion(f"unexpected token {tok!r}")
+        value = int(tok)
+        # the operand may complete its expression, and so each enclosing one
+        while True:
+            left, op = stack[-1]
+            if op is not None:
+                c = _apply(left, op, value)
+                steps.append(STEP_TEMPLATE.format(a=left, op=op, b=value, c=c))
+                value = c
+            elif pos < end and tokens[pos] in ALLOWED_OPERATORS:
+                stack[-1] = (value, tokens[pos])
+                pos += 1
+                break
+            stack.pop()
+            if not stack:
+                if pos != end:
+                    raise UnparsableQuestion("trailing tokens in expression")
+                steps.append(ANSWER_TEMPLATE.format(v=value))
+                return steps
+            if pos == end:
+                raise UnparsableQuestion("unexpected end of expression")
+            if tokens[pos] != ")":
+                raise UnparsableQuestion("expected closing paren")
+            pos += 1
 
 
 def _match_forward(fine: list[str], target: str, start: int) -> int | None:

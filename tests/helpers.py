@@ -1,5 +1,6 @@
 """Shared test infrastructure: an independent similarity reference, a
-reference step splitter and a scriptable HTTP completion stub.
+reference step splitter, a reference question reader and a scriptable
+HTTP completion stub.
 
 The similarity reference is a from-scratch dynamic-programming
 implementation of the recursive longest-matching-block ratio, kept free
@@ -13,6 +14,12 @@ replaced with regex searches over a masked copy, a break rule in one
 lookahead and a single merge pass. `reference_decompose` runs
 `decompose` with them, so the search-based splitter is checked against
 the walking one on spans, breaks, chains and error messages.
+
+The question reader reference keeps, verbatim, the recursive-descent
+parser and the recursive post-order walk that `stepfim.synth` replaced
+with one left-to-right loop over a stack. `reference_fine_steps` reads a
+question with them, so the loop is checked against the tree on steps and
+error messages.
 """
 
 from __future__ import annotations
@@ -35,6 +42,15 @@ from stepfim.decompose import (
     StepChain,
     UnbalancedMath,
     _word_before,
+)
+from stepfim.synth import (
+    ALLOWED_OPERATORS,
+    ANSWER_TEMPLATE,
+    STEP_TEMPLATE,
+    UnparsableQuestion,
+    _apply,
+    _QUESTION_RE,
+    _TOKEN_RE,
 )
 
 # `stepfim.decompose` the module: the package re-exports the function under that name
@@ -256,6 +272,77 @@ def reference_decompose(solution, config=None) -> StepChain:
         _merge_fragments=_merge_fragments,
     ):
         return decompose_module.decompose(solution, config)
+
+
+class _Parser:
+    """Recursive-descent parser for fully parenthesized integer expressions."""
+
+    def __init__(self, tokens: list[str]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def _peek(self) -> str | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def _take(self) -> str:
+        tok = self._peek()
+        if tok is None:
+            raise UnparsableQuestion("unexpected end of expression")
+        self.pos += 1
+        return tok
+
+    def parse_expr(self):
+        left = self.parse_primary()
+        if self._peek() in ALLOWED_OPERATORS:
+            op = self._take()
+            right = self.parse_primary()
+            return (left, op, right)
+        return left
+
+    def parse_primary(self):
+        tok = self._take()
+        if tok == "(":
+            node = self.parse_expr()
+            if self._take() != ")":
+                raise UnparsableQuestion("expected closing paren")
+            return node
+        if re.fullmatch(r"-?\d+", tok):
+            return int(tok)
+        raise UnparsableQuestion(f"unexpected token {tok!r}")
+
+
+def _parse_expression(expr: str):
+    tokens = _TOKEN_RE.findall(expr)
+    if "".join(tokens).replace(" ", "") != expr.replace(" ", ""):
+        raise UnparsableQuestion(f"cannot tokenize {expr!r}")
+    parser = _Parser(tokens)
+    node = parser.parse_expr()
+    if parser.pos != len(tokens):
+        raise UnparsableQuestion("trailing tokens in expression")
+    return node
+
+
+def _emit_steps(node, steps: list[str]) -> int:
+    """Evaluate post-order, appending one rendered step per operation."""
+    if isinstance(node, int):
+        return node
+    left, op, right = node
+    a = _emit_steps(left, steps)
+    b = _emit_steps(right, steps)
+    c = _apply(a, op, b)
+    steps.append(STEP_TEMPLATE.format(a=a, op=op, b=b, c=c))
+    return c
+
+
+def reference_fine_steps(question: str) -> list[str]:
+    """`synth.fine_steps_for_question` as a parse tree walked by recursion."""
+    match = _QUESTION_RE.match(question.strip())
+    if match is None:
+        raise UnparsableQuestion(f"not a synthetic question: {question!r}")
+    steps: list[str] = []
+    value = _emit_steps(_parse_expression(match.group(1)), steps)
+    steps.append(ANSWER_TEMPLATE.format(v=value))
+    return steps
 
 
 class _StubHandler(BaseHTTPRequestHandler):

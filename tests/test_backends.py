@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 import threading
@@ -361,9 +362,9 @@ class TestFactoryAndConfig:
             BackendConfig(kind="http")
 
     @pytest.mark.parametrize("url", ["ftp://127.0.0.1:21/x", "http:///x", "127.0.0.1:8000/x",
-                                     "http://h:99999/x", "http://h:port/x"])
+                                     "http://h:99999/x", "http://h:port/x", "http://h:abc/x"])
     def test_http_requires_an_http_url_with_a_host(self, url):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"endpoint_url.*{re.escape(repr(url))}"):
             BackendConfig(kind="http", endpoint_url=url)
 
     def test_replay_requires_fixture_path(self):

@@ -445,6 +445,22 @@ class TestExpand:
         assert result.returncode == 3
         assert "cannot reach" in result.stderr
 
+    @pytest.mark.parametrize("kind", ["oracle", "replay"])
+    def test_in_process_backend_failing_every_gap_exits_two(self, tmp_path, capsys, kind):
+        # the oracle cannot read a question it did not generate; an empty fixture answers nothing
+        inp, out, report, fixture = (tmp_path / name for name in ("in.jsonl", "out.jsonl",
+                                                                   "report.jsonl", "fix.jsonl"))
+        _write_jsonl(inp, [{"id": "a", "question": "Why?", "steps": ["One step here.", "Two step here."]}])
+        fixture.write_text("", encoding="utf-8")
+        code = cli.main(["expand", "--input", str(inp), "--output", str(out), "--report", str(report),
+                         "--backend", kind, "--fixture-path", str(fixture)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.rstrip().endswith("error: every gap ended in backend_error (1 attempted)")
+        (line,) = _read_jsonl(report)[1:]
+        assert [p["decision"] for p in line["proposals"]] == ["backend_error"]
+        assert _read_jsonl(out) == _read_jsonl(inp)
+
     def test_invalid_eta_exits_one(self, synth_dir, tmp_path):
         result = run_cli(
             "expand", "--input", str(synth_dir / "coarse.jsonl"),

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
-import pytest
+import itertools
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from helpers import reference_fine_steps
 from stepfim.similarity import similarity
 from stepfim.synth import (
     ANSWER_TEMPLATE,
@@ -55,6 +59,26 @@ class TestFineChainDerivation:
     def test_non_synthetic_questions_rejected(self, question):
         with pytest.raises(UnparsableQuestion):
             fine_steps_for_question(question)
+
+    @settings(max_examples=500)
+    @given(st.lists(st.sampled_from(["(", ")", "+", "-", "*", "1", "-2", "33", " ", "x", "\t"]),
+                    max_size=16).map("".join))
+    def test_steps_and_errors_match_the_recursive_reference(self, expr):
+        question = f"What is the value of {expr}?"
+        assert _outcome(fine_steps_for_question, question) == _outcome(reference_fine_steps, question)
+
+    def test_600_operations_deep_question_yields_its_fine_chain(self):
+        # the recursive reader needed two frames per level of parentheses
+        (problem,) = generate(CorpusSpec(count=1, seed=6, ops_min=600, ops_max=600))
+        assert problem.question.startswith("What is the value of " + "(" * 599)
+        assert fine_steps_for_question(problem.question) == list(problem.fine_chain.texts)
+
+
+def _outcome(read, question):
+    try:
+        return read(question)
+    except UnparsableQuestion as exc:
+        return f"UnparsableQuestion: {exc}"
 
 
 class TestGeneration:
@@ -110,6 +134,16 @@ class TestGeneration:
             assert 0 not in dropped
             assert answer_index not in dropped
             assert all(b - a > 1 for a, b in zip(dropped, dropped[1:]))
+
+    def test_random_k_drops_k_non_adjacent_steps_up_to_its_maximum(self):
+        feasible = [(ops, k) for ops in range(2, 13) for k in range(1, ops // 2 + 1)]
+        for (ops, k), seed in itertools.product(feasible, range(3)):
+            spec = CorpusSpec(count=5, seed=seed, ops_min=ops, ops_max=ops, drop="random-k", drop_k=k)
+            for problem in generate(spec):
+                dropped = problem.dropped_indices
+                assert len(dropped) == k
+                assert 0 < dropped[0] and dropped[-1] < ops
+                assert all(b - a > 1 for a, b in zip(dropped, dropped[1:]))
 
     def test_every_other_drops_odd_computation_indices(self):
         for problem in generate(CorpusSpec(count=20, seed=13, ops_min=2, ops_max=6)):
