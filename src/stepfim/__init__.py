@@ -35,7 +35,7 @@ from stepfim.fim import (
     reassemble,
     sample_fim,
 )
-from stepfim.similarity import GateConfig, GateOutcome, gate, similarity
+from stepfim.similarity import DEFAULT_ETA, GateOutcome, gate, similarity
 from stepfim.expand import (
     ExpansionConfig,
     ExpansionReport,

@@ -460,6 +460,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         _note(f"error: {exc}")
         return 1
+    except KeyboardInterrupt:  # the handlers' finally blocks have closed their files
+        _note("error: interrupted")
+        return 130
 
 
 if __name__ == "__main__":

@@ -5,17 +5,21 @@ for the step that might be missing there (prefix = steps before the gap,
 suffix = the full remaining tail), gates the candidate by similarity to
 the step that follows, and inserts the survivors.
 
-A record is the unit of work: its rounds run one after the other, and
-each round fills its gaps one at a time, in gap order. For a backend whose
-fills wait (http, or any backend without `waits = False`),
-`expand_records` gives whole records to `max_in_flight` pool workers,
-earliest first, reads records at most 4 per worker ahead and hands them
-back in input order, raising a fill's BaseException in its record's turn.
-An in-process backend (oracle, replay) never waits, so its records are
-expanded on the calling thread whatever `max_in_flight` is: under the
-interpreter lock more threads would only take turns. `expand_chain` and
-`expand_iteratively` always fill on the calling thread. Output never
-depends on `max_in_flight` or on which request finished first.
+The engine is three public calls, each built on the next: `expand_chain`
+runs one round, filling a chain's gaps one at a time in gap order and
+inserting the valid candidates; `expand_iteratively` runs
+`config.iterations` such rounds; `expand_records` runs
+`expand_iteratively` on each record of a stream. Each reaches the next
+through this module's globals, so a wrapper set on either inner call
+sees every round of a run. For a backend whose fills wait (http, or any
+backend without `waits = False`), `expand_records` gives whole records
+to `max_in_flight` pool workers, earliest first, reads records at most 4
+per worker ahead and hands them back in input order, raising a fill's
+BaseException in its record's turn. An in-process backend (oracle,
+replay) never waits, so its records are expanded on the calling thread
+whatever `max_in_flight` is: under the interpreter lock more threads
+would only take turns. Output never depends on `max_in_flight` or on
+which request finished first.
 
 Decisions recorded per gap:
 
@@ -33,12 +37,13 @@ import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Iterator
 
 from stepfim import fim
 from stepfim.backends import FimBackend, FimRequest
 from stepfim.decompose import StepChain, chain_record, record_id
-from stepfim.similarity import GateConfig, gate
+from stepfim.similarity import DEFAULT_ETA, gate
 
 VALID = "valid"
 INVALID = "invalid"
@@ -56,13 +61,14 @@ LOOKAHEAD = 4
 class ExpansionConfig:
     """Engine knobs."""
 
-    eta: float = GateConfig.eta
+    eta: float = DEFAULT_ETA
     iterations: int = 1
     include_leading_gap: bool = False
     max_in_flight: int = 4
 
     def __post_init__(self) -> None:
-        GateConfig(self.eta)  # range check
+        if not 0.0 < self.eta <= 1.0:
+            raise ValueError("eta must be in (0, 1]")
         for name in ("iterations", "max_in_flight"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -185,47 +191,9 @@ def _propose(
     if truncated and not cleaned:
         return GapProposal(gap_index, request.request_id, "", None, MALFORMED, latency_ms)
 
-    outcome = gate(cleaned, request.suffix_steps[0], GateConfig(config.eta))
+    outcome = gate(cleaned, request.suffix_steps[0], config.eta)
     decision = VALID if outcome.valid else INVALID
     return GapProposal(gap_index, request.request_id, cleaned, outcome.score, decision, latency_ms)
-
-
-def _rounds(
-    question: str, chain: StepChain, fill: Callable[[FimRequest], str], config: ExpansionConfig
-) -> tuple[StepChain, list[ExpansionReport]]:
-    """Run `config.iterations` rounds on one chain, filling each round's gaps in order."""
-    reports: list[ExpansionReport] = []
-    for iteration in range(config.iterations):
-        started = time.perf_counter()
-        proposals = [
-            _propose(fill, gap_index, request, config)
-            for gap_index, request in requests_for_chain(question, chain, config)
-        ]
-        accepted = {p.gap_index: p.candidate for p in proposals if p.decision == VALID}
-        out_texts: list[str] = []
-        for idx0, text in enumerate(chain.texts):
-            if idx0 + 1 in accepted:
-                out_texts.append(accepted[idx0 + 1])
-            out_texts.append(text)
-        expanded = StepChain.from_texts(out_texts)
-
-        counts = {d: 0 for d in DECISIONS}
-        for p in proposals:
-            counts[p.decision] += 1
-        reports.append(ExpansionReport(
-            iteration=iteration,
-            input_steps=len(chain),
-            output_steps=len(expanded),
-            attempted=len(proposals),
-            inserted=counts[VALID],
-            invalid=counts[INVALID],
-            malformed=counts[MALFORMED],
-            errored=counts[BACKEND_ERROR],
-            elapsed_ms=(time.perf_counter() - started) * 1000.0,
-            proposals=tuple(proposals),
-        ))
-        chain = expanded
-    return chain, reports
 
 
 def fill_slots(backend: FimBackend, config: ExpansionConfig) -> int:
@@ -252,8 +220,33 @@ def expand_chain(
     """
     if config is None:
         config = ExpansionConfig()
-    expanded, (report,) = _rounds(question, chain, backend.fill, replace(config, iterations=1))
-    return expanded, report
+    started = time.perf_counter()
+    proposals = [
+        _propose(backend.fill, gap_index, request, config)
+        for gap_index, request in requests_for_chain(question, chain, config)
+    ]
+    accepted = {p.gap_index: p.candidate for p in proposals if p.decision == VALID}
+    out_texts: list[str] = []
+    for idx0, text in enumerate(chain.texts):
+        if idx0 + 1 in accepted:
+            out_texts.append(accepted[idx0 + 1])
+        out_texts.append(text)
+    expanded = StepChain.from_texts(out_texts)
+
+    counts = {d: 0 for d in DECISIONS}
+    for p in proposals:
+        counts[p.decision] += 1
+    return expanded, ExpansionReport(
+        input_steps=len(chain),
+        output_steps=len(expanded),
+        attempted=len(proposals),
+        inserted=counts[VALID],
+        invalid=counts[INVALID],
+        malformed=counts[MALFORMED],
+        errored=counts[BACKEND_ERROR],
+        elapsed_ms=(time.perf_counter() - started) * 1000.0,
+        proposals=tuple(proposals),
+    )
 
 
 def expand_iteratively(
@@ -271,7 +264,11 @@ def expand_iteratively(
     """
     if config is None:
         config = ExpansionConfig()
-    return _rounds(question, chain, backend.fill, config)
+    reports: list[ExpansionReport] = []
+    for iteration in range(config.iterations):
+        chain, report = expand_chain(question, chain, backend, config)
+        reports.append(replace(report, iteration=iteration) if iteration else report)
+    return chain, reports
 
 
 class _Stopped(BaseException):
@@ -279,11 +276,11 @@ class _Stopped(BaseException):
 
 
 def _expand_row(
-    row: dict[str, Any], fill: Callable[[FimRequest], str], config: ExpansionConfig
+    row: dict[str, Any], backend: FimBackend, config: ExpansionConfig
 ) -> tuple[dict[str, Any], list[ExpansionReport]]:
     row_id = record_id(row)
     try:
-        chain, reports = _rounds(*chain_record(row), fill, config)
+        chain, reports = expand_iteratively(*chain_record(row), backend, config)
     except Exception as exc:  # bad shape or backend misuse: this record fails alone
         steps = row.get("steps")
         n = len(steps) if isinstance(steps, list) else 0
@@ -306,27 +303,28 @@ def expand_records(
 ) -> Iterator[tuple[dict[str, Any], list[ExpansionReport]]]:
     """Expand a stream of `{id, question, steps}` records, yielded in input order.
 
-    This is the one expansion path for the CLI and for library callers;
-    corpus totals are the caller's sum over the yielded reports. With one
-    fill slot (see `fill_slots`) every record is expanded on the calling
-    thread. With N slots, N pool workers each expand whole records,
-    earliest first, filling a record's gaps one at a time; records are
-    read at most 4 per slot ahead of the one yielded next, and the run
-    ends with a tail of at most one record per worker. Stopping (the
-    generator closed, an input error, a fill's BaseException, which is
-    raised here in its record's turn) waits only on the fills that are
-    running. The workers are not daemon threads, so a generator left open
-    at interpreter exit waits for the records already handed to them (at
-    most 4 per slot). A record that cannot be expanded (bad shape, backend
-    misuse) is yielded unchanged with a zero-count report carrying the
-    error, so a single poisoned record never aborts a batch run.
+    Each record goes through `expand_iteratively`. This is the one
+    expansion path for the CLI and for library callers; corpus totals are
+    the caller's sum over the yielded reports. With one fill slot (see
+    `fill_slots`) every record is expanded on the calling thread. With N
+    slots, N pool workers each expand whole records, earliest first,
+    filling a record's gaps one at a time; records are read at most 4 per
+    slot ahead of the one yielded next, and the run ends with a tail of at
+    most one record per worker. Stopping (the generator closed, an input
+    error, a fill's BaseException, which is raised here in its record's
+    turn) waits only on the fills that are running. The workers are not
+    daemon threads, so a generator left open at interpreter exit waits for
+    the records already handed to them (at most 4 per slot). A record that
+    cannot be expanded (bad shape, backend misuse) is yielded unchanged
+    with a zero-count report carrying the error, so a single poisoned
+    record never aborts a batch run.
     """
     if config is None:
         config = ExpansionConfig()
     slots = fill_slots(backend, config)
     if slots == 1:
         for row in records:
-            yield _expand_row(row, backend.fill, config)
+            yield _expand_row(row, backend, config)
         return
 
     stop = threading.Event()
@@ -336,11 +334,12 @@ def expand_records(
             raise _Stopped()
         return backend.fill(request)
 
+    stoppable = SimpleNamespace(fill=fill)
     pool = ThreadPoolExecutor(slots)
     window: deque[Future[tuple[dict[str, Any], list[ExpansionReport]]]] = deque()
     try:
         for row in records:
-            window.append(pool.submit(_expand_row, row, fill, config))
+            window.append(pool.submit(_expand_row, row, stoppable, config))
             if len(window) == LOOKAHEAD * slots:
                 yield window.popleft().result()
         while window:

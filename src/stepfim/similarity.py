@@ -19,16 +19,8 @@ from dataclasses import dataclass
 
 from stepfim.decompose import normalize_ws
 
-
-@dataclass(frozen=True)
-class GateConfig:
-    """Threshold above which a candidate counts as a near-duplicate."""
-
-    eta: float = 0.8
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError("eta must be in (0, 1]")
+# score at or above which a candidate counts as a near-duplicate
+DEFAULT_ETA = 0.8
 
 
 @dataclass(frozen=True)
@@ -78,16 +70,14 @@ def similarity(a: str, b: str) -> float:
     return 2.0 * _matched_chars(a_norm, b_norm) / (len(a_norm) + len(b_norm))
 
 
-def gate(candidate: str, next_step: str, config: GateConfig | None = None) -> GateOutcome:
+def gate(candidate: str, next_step: str, eta: float = DEFAULT_ETA) -> GateOutcome:
     """Decide whether a generated candidate is worth inserting.
 
     Invalid when the candidate is empty after trimming or scores >= eta
     against the step that would follow it; equality rejects, so near
     duplicates are never inserted.
     """
-    if config is None:
-        config = GateConfig()
     score = similarity(candidate, next_step)
     if not candidate.strip():
         return GateOutcome(valid=False, score=score)
-    return GateOutcome(valid=score < config.eta, score=score)
+    return GateOutcome(valid=score < eta, score=score)

@@ -139,7 +139,11 @@ def _build_steps(rng: random.Random, spec: CorpusSpec) -> tuple[str, list[str]] 
             op = rng.choice(spec.operators)
             b = rng.randint(spec.operand_min, spec.operand_max)
             c = _apply(value, op, b)
-            text = STEP_TEMPLATE.format(a=value, op=op, b=b, c=c)
+            try:
+                text = STEP_TEMPLATE.format(a=value, op=op, b=b, c=c)
+            except ValueError:  # str(c) is past sys.get_int_max_str_digits()
+                raise SpecError("values outgrow the int-to-str digit limit; lower ops_max or the "
+                                f"operand range [{spec.operand_min}, {spec.operand_max}]") from None
             ok = not steps or similarity(steps[-1], text) < _DISTINCTNESS
             if ok and k == n_ops - 1:
                 ok = similarity(text, ANSWER_TEMPLATE.format(v=c)) < _DISTINCTNESS

@@ -32,7 +32,7 @@ from stepfim.fim import (
     reassemble,
     sample_fim,
 )
-from stepfim.similarity import GateConfig, gate, similarity
+from stepfim.similarity import gate, similarity
 from stepfim.stats import CorpusStats, diff_stats
 from stepfim.synth import CorpusSpec, generate
 
@@ -116,7 +116,7 @@ def test_criterion_04_gate_behavior():
     rng = random.Random(44044)
 
     texts = ["".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 80))) for _ in range(200)]
-    echo_rejections = sum(not gate(t, t, GateConfig(0.8)).valid for t in texts)
+    echo_rejections = sum(not gate(t, t, 0.8).valid for t in texts)
 
     pairs = [
         (
@@ -130,7 +130,7 @@ def test_criterion_04_gate_behavior():
     for candidate, next_step in pairs:
         was_valid = False
         for eta in etas:
-            valid = gate(candidate, next_step, GateConfig(eta)).valid
+            valid = gate(candidate, next_step, eta).valid
             if was_valid and not valid:
                 monotone = False
             was_valid = was_valid or valid

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -91,6 +93,18 @@ class TestGenSynth:
         assert result.returncode == 0
         for name in ("coarse.jsonl", "fine.jsonl", "dropped.jsonl"):
             assert (other / name).read_bytes() == (synth_dir / name).read_bytes()
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this Python has no int-to-str digit limit")
+    def test_values_past_the_int_digit_limit_name_the_settings(self, tmp_path, capsys):
+        # 300-digit operands multiplied 16 times outgrow the 4,300-digit default limit
+        lo, hi = str(10**299), str(9 * 10**299)
+        code = cli.main(["gen-synth", "--count", "1", "--seed", "1", "--ops-min", "16",
+                         "--ops-max", "16", "--operators", "*", "--operand-min", lo,
+                         "--operand-max", hi, "--out", str(tmp_path / "big")])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert "int-to-str digit limit" in err and "ops_max" in err and f"[{lo}, {hi}]" in err
 
     def test_seed_is_mandatory(self, tmp_path):
         result = run_cli("gen-synth", "--count", "5", "--out", str(tmp_path / "x"))
@@ -444,6 +458,37 @@ class TestExpand:
         )
         assert result.returncode == 3
         assert "cannot reach" in result.stderr
+
+    def test_ctrl_c_exits_130_without_a_traceback(self, tmp_path):
+        inp = tmp_path / "in.jsonl"
+        _write_jsonl(inp, [CHAIN])
+        # a default SIGINT handler even where the test runner's children ignore SIGINT
+        child = ("import signal, sys; signal.signal(signal.SIGINT, signal.default_int_handler); "
+                 "from stepfim.cli import main; sys.exit(main(sys.argv[1:]))")
+        with socket.create_server(("127.0.0.1", 0)) as listener:  # accepts and never answers
+            listener.settimeout(60)
+            url = f"http://127.0.0.1:{listener.getsockname()[1]}/v1/completions"
+            proc = subprocess.Popen(
+                [sys.executable, "-c", child, "expand", "--input", str(inp),
+                 "--output", str(tmp_path / "out.jsonl"), "--backend", "http",
+                 "--endpoint-url", url, "--max-in-flight", "1"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+            held = []
+            try:
+                for _ in range(2):  # the probe, then the first fill
+                    held.append(listener.accept()[0])
+                proc.send_signal(signal.SIGINT)
+                _, err = proc.communicate(timeout=60)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.communicate()
+                for conn in held:
+                    conn.close()
+        assert proc.returncode == 130, err
+        assert err.rstrip().endswith("error: interrupted")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("kind", ["oracle", "replay"])
     def test_in_process_backend_failing_every_gap_exits_two(self, tmp_path, capsys, kind):

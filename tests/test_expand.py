@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stepfim import expand
 from stepfim.backends import FimRequest, OracleBackend
 from stepfim.decompose import StepChain
 from stepfim.expand import (
@@ -345,10 +346,11 @@ class TestConfigValidation:
             {"max_in_flight": 0},
             {"iterations": 1.5},
             {"max_in_flight": "4"},
+            {"eta": 1.0001},
         ],
     )
     def test_bad_values_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="eta must be in" if "eta" in kwargs else None):
             ExpansionConfig(**kwargs)
 
 
@@ -461,6 +463,37 @@ class SlowBackend:
         finally:
             with self.lock:
                 self.active -= 1
+
+
+class TestLayering:
+    """`expand_records` runs each record through `expand_iteratively`, and that
+    runs each round through `expand_chain`, both looked up on the module, so
+    a wrapper set there (as a tracer sets one) sees every round of a run."""
+
+    @pytest.mark.parametrize("waits", [False, True], ids=["one-slot", "pool"])
+    def test_every_round_goes_through_the_public_calls(self, monkeypatch, waits):
+        calls = {"expand_chain": 0, "expand_iteratively": 0}
+        lock = threading.Lock()
+
+        def counting(name):
+            inner = getattr(expand, name)
+
+            def wrapper(*args, **kwargs):
+                with lock:
+                    calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(expand, name, counting(name))
+        backend = SlowBackend(0.001)
+        backend.waits = waits
+        rows = [{"id": f"r{i}", "question": QUESTION, "steps": list((COARSE, FINE)[i % 2])}
+                for i in range(6)]
+        out = list(expand_records(rows, backend, ExpansionConfig(iterations=2, max_in_flight=4)))
+        assert calls == {"expand_chain": len(rows) * 2, "expand_iteratively": len(rows)}
+        assert sum(r.attempted for _, reports in out for r in reports) == backend.started > 0
 
 
 class TestSchedulerStreaming:

@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 
 from helpers import reference_ratio
 from stepfim.decompose import normalize_ws
-from stepfim.similarity import GateConfig, gate, similarity
+from stepfim.similarity import DEFAULT_ETA, gate, similarity
 from stepfim.synth import CorpusSpec, generate, oracle_fill
 
 PAIR_ALPHABET = string.ascii_letters + string.digits + " +-*/=()$._,"
@@ -137,12 +137,12 @@ class TestExactlyDifflib:
 
 class TestGate:
     def test_near_duplicate_rejected(self):
-        outcome = gate("The answer is 5.", "The answer is 5.", GateConfig(eta=0.8))
+        outcome = gate("The answer is 5.", "The answer is 5.", 0.8)
         assert not outcome.valid
         assert outcome.score == 1.0
 
     def test_distinct_candidate_accepted(self):
-        outcome = gate("Compute 5 * 4 = 20.", "Therefore the area is 12.", GateConfig(eta=0.8))
+        outcome = gate("Compute 5 * 4 = 20.", "Therefore the area is 12.", 0.8)
         assert outcome.valid
         assert outcome.score < 0.8
 
@@ -152,22 +152,17 @@ class TestGate:
 
     def test_score_equal_to_eta_rejected(self):
         # ("abcd", "bcde") scores exactly 0.75: equality is Invalid
-        outcome = gate("abcd", "bcde", GateConfig(eta=0.75))
+        outcome = gate("abcd", "bcde", 0.75)
         assert outcome.score == 0.75
         assert not outcome.valid
 
     def test_default_threshold_is_point_eight(self):
-        assert GateConfig().eta == 0.8
-
-    @pytest.mark.parametrize("eta", [-0.1, 0.0, 1.0001, 2.0])
-    def test_threshold_out_of_range_rejected(self, eta):
-        with pytest.raises(ValueError):
-            GateConfig(eta=eta)
+        assert DEFAULT_ETA == 0.8
 
     def test_threshold_of_one_allows_everything_but_duplicates(self):
-        outcome = gate("abcd", "bcde", GateConfig(eta=1.0))
+        outcome = gate("abcd", "bcde", 1.0)
         assert outcome.valid
-        assert not gate("same", "same", GateConfig(eta=1.0)).valid
+        assert not gate("same", "same", 1.0).valid
 
     @given(
         st.text(alphabet=PAIR_ALPHABET, max_size=60),
@@ -177,5 +172,5 @@ class TestGate:
     )
     def test_invalid_is_monotone_in_threshold(self, candidate, next_step, eta_a, eta_b):
         low, high = sorted((eta_a, eta_b))
-        if not gate(candidate, next_step, GateConfig(eta=high)).valid:
-            assert not gate(candidate, next_step, GateConfig(eta=low)).valid
+        if not gate(candidate, next_step, high).valid:
+            assert not gate(candidate, next_step, low).valid
