@@ -346,7 +346,6 @@ class TestConfigValidation:
             {"max_in_flight": 0},
             {"iterations": 1.5},
             {"max_in_flight": "4"},
-            {"eta": 1.0001},
         ],
     )
     def test_bad_values_rejected(self, kwargs):

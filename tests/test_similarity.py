@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 
 from helpers import reference_ratio
 from stepfim.decompose import normalize_ws
+from stepfim.expand import ExpansionConfig
 from stepfim.similarity import DEFAULT_ETA, gate, similarity
 from stepfim.synth import CorpusSpec, generate, oracle_fill
 
@@ -158,6 +159,12 @@ class TestGate:
 
     def test_default_threshold_is_point_eight(self):
         assert DEFAULT_ETA == 0.8
+
+    @pytest.mark.parametrize("eta", [-0.1, 0.0, 1.0001, 2.0])
+    def test_threshold_out_of_range_rejected(self, eta):
+        # gate() takes eta as given; the range check lives on ExpansionConfig
+        with pytest.raises(ValueError, match="eta must be in"):
+            ExpansionConfig(eta=eta)
 
     def test_threshold_of_one_allows_everything_but_duplicates(self):
         outcome = gate("abcd", "bcde", 1.0)
