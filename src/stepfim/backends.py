@@ -19,10 +19,9 @@ import hashlib
 import json
 import os
 import threading
-import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Protocol
+from typing import Any, Iterable, Protocol
 from urllib.parse import urlsplit
 
 from stepfim import fim, synth
@@ -110,7 +109,9 @@ class FimBackend(Protocol):
     calling thread: more threads would only take turns on the interpreter
     lock. A backend without the attribute is taken to wait (a network call,
     a sleep) and gets `max_in_flight` worker threads. The `expand`
-    subcommand calls a backend's `close()`, if it has one, after the last fill.
+    subcommand calls a backend's `close()`, if it has one, after the last
+    fill, and `expand_records` calls it when a pooled run stops early, to end
+    the fills that are running; a closed backend must still fill later.
     """
 
     def fill(self, request: FimRequest) -> str: ...
@@ -163,9 +164,9 @@ class HttpBackend:
     never appear on command lines.
 
     Each filling thread keeps one keep-alive `http.client` connection, and
-    a failed attempt closes it; `close` closes them all. Proxy variables
-    and ``~/.netrc`` are not read; HTTPS is verified by `ssl`'s default
-    context against the system CA store.
+    a failed attempt closes it; `close` closes them all and ends the fills
+    that are running. Proxy variables and ``~/.netrc`` are not read; HTTPS
+    is verified by `ssl`'s default context against the system CA store.
     """
 
     waits = True
@@ -181,6 +182,8 @@ class HttpBackend:
         self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
         self._errors = (OSError, http.client.HTTPException)
         self._local, self._lock, self._connections = threading.local(), threading.Lock(), []
+        self._busy: set[Any] = set()  # the connections that a POST is using
+        self._closed = threading.Event()
         self._headers = {"Content-Type": "application/json"}
         if config.auth_token_env:
             token = os.environ.get(config.auth_token_env)
@@ -194,6 +197,7 @@ class HttpBackend:
         return fim.format_prompt(request.question, prefix, suffix)
 
     def fill(self, request: FimRequest) -> str:
+        closed = self._closed  # set by the next `close`, which ends this fill at once
         body = {
             "prompt": self._prompt(request),
             "stop": list(fim.SPECIAL_TOKENS),
@@ -203,10 +207,10 @@ class HttpBackend:
         data = json.dumps(body).encode("utf-8")
         last_error: Exception | None = None
         for attempt in range(self.config.retry_limit + 1):
-            if attempt > 0:
-                time.sleep(self.config.backoff_ms * attempt / 1000.0)
+            if attempt > 0 and closed.wait(self.config.backoff_ms * attempt / 1000.0):
+                break
             try:
-                status, payload = self._post(data)
+                status, payload = self._post(data, closed)
             except self._errors as exc:
                 last_error = exc
                 continue
@@ -216,40 +220,71 @@ class HttpBackend:
             if status != 200:
                 raise TransportError(f"HTTP {status} from completion endpoint")
             return self._extract(payload)[: self.config.max_new_chars]
+        if closed.is_set():
+            raise TransportError("completion request ended: the backend was closed")
         raise TransportError(f"completion request failed after {self.config.retry_limit} retries: {last_error}")
 
-    def _post(self, data: bytes) -> tuple[int, bytes]:
-        """One POST on this thread's connection, opened on its first call."""
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            conn = self._local.conn = self._connection_class(*self._address, timeout=self.config.timeout_ms / 1000)
-            with self._lock:
+    def _post(self, data: bytes, closed: threading.Event) -> tuple[int, bytes]:
+        """One POST on this thread's connection, opened on its first call.
+
+        While the POST runs its connection is busy: `close` shuts the socket
+        down, so a blocked read returns, and leaves the closing to this thread.
+        """
+        with self._lock:
+            conn = getattr(self._local, "conn", None)
+            if conn is None:
+                conn = self._local.conn = self._connection_class(*self._address, timeout=self.config.timeout_ms / 1000)
                 self._connections.append(conn)
+            self._busy.add(conn)
         # a kept-alive connection that the server had closed raises one of these before
         # any status line (http.client.RemoteDisconnected is a ConnectionResetError);
         # then the POST goes once more on a fresh connection, and is no attempt
         stale = (ConnectionResetError, BrokenPipeError) if conn.sock is not None else ()
         try:
             try:
-                conn.request("POST", self._path, data, self._headers)
-                response = conn.getresponse()
+                response = self._send(conn, data, closed)
             except stale:
+                if closed.is_set():
+                    raise
                 conn.close()
-                conn.request("POST", self._path, data, self._headers)
-                response = conn.getresponse()
+                response = self._send(conn, data, closed)
             payload = response.read()
         except BaseException:
             conn.close()
             raise
+        finally:
+            with self._lock:
+                self._busy.discard(conn)
         if response.status != 200:
             conn.close()
         return response.status, payload
 
+    def _send(self, conn: Any, data: bytes, closed: threading.Event) -> Any:
+        conn.request("POST", self._path, data, self._headers)
+        # a `close` that came while this connected found no socket to shut down
+        if closed.is_set():
+            raise ConnectionAbortedError("the backend was closed")
+        return conn.getresponse()
+
     def close(self) -> None:
-        """Close every thread's connection; a later fill opens a new one."""
+        """End the fills that are running and close every thread's connection.
+
+        A running fill raises TransportError at once, without a retry; a
+        later fill opens a new connection.
+        """
+        import socket  # loaded with http.client
+
         with self._lock:
+            self._closed.set()
+            self._closed = threading.Event()
             for conn in self._connections:
-                conn.close()
+                if conn not in self._busy:
+                    conn.close()
+                elif conn.sock is not None:
+                    try:
+                        conn.sock.shutdown(socket.SHUT_RDWR)
+                    except OSError:  # the peer or this thread has closed it already
+                        pass
 
     @staticmethod
     def _extract(payload: bytes) -> str:

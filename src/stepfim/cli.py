@@ -17,7 +17,6 @@ import argparse
 import dataclasses
 import json
 import os
-import socket
 import sys
 import time
 from typing import Any, Callable, TextIO
@@ -69,7 +68,8 @@ def build_parser() -> _Parser:
     p.add_argument("--output", help="step chains JSONL: id, question, steps")
     p.add_argument("--rejects", default="", help="where to write records that failed to split")
     p.add_argument("--min-step-chars", type=int, default=DecomposeConfig.min_step_chars,
-                   help="fold shorter fragments into their neighbor (default %(default)s)")
+                   help="fold fragments shorter than this many characters into their "
+                        "neighbor; 0 or more (default %(default)s)")
 
     p = sub.add_parser("build-fim", help="hold out one step per round as the middle")
     p.add_argument("--input", help="step chains JSONL")
@@ -315,6 +315,8 @@ def cmd_build_fim(cfg: dict[str, Any]) -> int:
 
 def _probe_endpoint(url: str, timeout_s: float = 5.0) -> None:
     """Connect once; `BackendConfig` has checked that the URL has a host."""
+    import socket  # only an http run opens one
+
     parsed = urlsplit(url)
     host, port = parsed.hostname, parsed.port or (443 if parsed.scheme == "https" else 80)
     try:

@@ -119,6 +119,10 @@ class DecomposeConfig:
 
     min_step_chars: int = 10
 
+    def __post_init__(self) -> None:
+        if self.min_step_chars < 0:
+            raise ValueError("min_step_chars must be >= 0")
+
 
 def _env_end(text: str, start: int) -> int:
     """End of the \\begin block at `start`, nesting included; each tag skips to its "}"."""

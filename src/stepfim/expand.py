@@ -35,15 +35,17 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
-from typing import Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from stepfim import fim
 from stepfim.backends import FimBackend, FimRequest
 from stepfim.decompose import StepChain, chain_record, record_id
 from stepfim.similarity import DEFAULT_ETA, gate
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 VALID = "valid"
 INVALID = "invalid"
@@ -55,6 +57,8 @@ DECISIONS = (VALID, INVALID, MALFORMED, BACKEND_ERROR)
 # records read ahead per fill slot: room for the oldest record to wait on
 # its slowest gaps while the other workers stay busy with later records
 LOOKAHEAD = 4
+# longest single wait on a pool worker's record: a bound on how late Ctrl-C lands
+WAIT_TURN_S = 0.1
 
 
 @dataclass(frozen=True)
@@ -312,7 +316,8 @@ def expand_records(
     slot ahead of the one yielded next, and the run ends with a tail of at
     most one record per worker. Stopping (the generator closed, an input
     error, a fill's BaseException, which is raised here in its record's
-    turn) waits only on the fills that are running. The workers are not
+    turn) calls the backend's `close()`, if it has one, so that the fills
+    that are running end, and waits only on them. The workers are not
     daemon threads, so a generator left open at interpreter exit waits for
     the records already handed to them (at most 4 per slot). A record that
     cannot be expanded (bad shape, backend misuse) is yielded unchanged
@@ -327,6 +332,9 @@ def expand_records(
             yield _expand_row(row, backend, config)
         return
 
+    # only a run that starts workers loads the pool (and its logging and queue)
+    from concurrent import futures
+
     stop = threading.Event()
 
     def fill(request: FimRequest) -> str:
@@ -334,16 +342,31 @@ def expand_records(
             raise _Stopped()
         return backend.fill(request)
 
+    def oldest() -> tuple[dict[str, Any], list[ExpansionReport]]:
+        # waits in turns: Python runs a Ctrl-C handler only between them, and a
+        # signal that a worker thread took, or that came just before a wait
+        # began, ends no wait
+        future = window.popleft()
+        while True:
+            try:
+                return future.result(WAIT_TURN_S)
+            except futures.TimeoutError:
+                pass
+
     stoppable = SimpleNamespace(fill=fill)
-    pool = ThreadPoolExecutor(slots)
+    pool = futures.ThreadPoolExecutor(slots)
     window: deque[Future[tuple[dict[str, Any], list[ExpansionReport]]]] = deque()
+    drained = False
     try:
         for row in records:
             window.append(pool.submit(_expand_row, row, stoppable, config))
             if len(window) == LOOKAHEAD * slots:
-                yield window.popleft().result()
+                yield oldest()
         while window:
-            yield window.popleft().result()
+            yield oldest()
+        drained = True
     finally:
         stop.set()
+        if not drained:  # a backend's close ends the fills that are running
+            getattr(backend, "close", lambda: None)()
         pool.shutdown(cancel_futures=True)

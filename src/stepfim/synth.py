@@ -13,8 +13,10 @@ an explicit stack, so no nesting depth is too deep for it.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 import re
+import sys
 from dataclasses import dataclass
 
 from stepfim.decompose import StepChain
@@ -43,6 +45,11 @@ _MAX_PROBLEM_RETRIES = 100
 
 class SpecError(ValueError):
     """CorpusSpec is unsatisfiable or out of bounds."""
+
+
+def _digit_limit_error(spec: CorpusSpec) -> SpecError:
+    return SpecError("values outgrow the int-to-str digit limit; lower ops_max or the "
+                     f"operand range [{spec.operand_min}, {spec.operand_max}]")
 
 
 class UnparsableQuestion(ValueError):
@@ -78,6 +85,12 @@ class CorpusSpec:
             raise SpecError(f"unknown drop pattern {self.drop!r}")
         if self.drop == "random-k" and self.drop_k < 1:
             raise SpecError("drop_k must be >= 1")
+        # products only: every value after ops_min steps is at least operand_min ** (ops_min + 1);
+        # one digit of margin, so that float rounding never refuses a spec that could succeed
+        limit = sys.get_int_max_str_digits()
+        if (limit and set(self.operators) == {"*"} and self.operand_min >= 2
+                and (self.ops_min + 1) * math.log10(self.operand_min) >= limit + 1):
+            raise _digit_limit_error(self)
 
 
 @dataclass(frozen=True)
@@ -142,8 +155,7 @@ def _build_steps(rng: random.Random, spec: CorpusSpec) -> tuple[str, list[str]] 
             try:
                 text = STEP_TEMPLATE.format(a=value, op=op, b=b, c=c)
             except ValueError:  # str(c) is past sys.get_int_max_str_digits()
-                raise SpecError("values outgrow the int-to-str digit limit; lower ops_max or the "
-                                f"operand range [{spec.operand_min}, {spec.operand_max}]") from None
+                raise _digit_limit_error(spec) from None
             ok = not steps or similarity(steps[-1], text) < _DISTINCTNESS
             if ok and k == n_ops - 1:
                 ok = similarity(text, ANSWER_TEMPLATE.format(v=c)) < _DISTINCTNESS

@@ -5,9 +5,12 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import socket
 import subprocess
 import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +49,22 @@ def _http_config(url: str, **kwargs) -> BackendConfig:
     defaults = dict(kind="http", endpoint_url=url, retry_limit=2, backoff_ms=1, timeout_ms=5000)
     defaults.update(kwargs)
     return BackendConfig(**defaults)
+
+
+def _read_request(conn: socket.socket) -> None:
+    """Read one HTTP request off a raw connection: its head, then Content-Length bytes."""
+    conn.settimeout(30)
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = conn.recv(65536)
+        assert chunk, "the client closed the connection"
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    length = int(re.search(rb"(?i)content-length: *(\d+)", head).group(1))
+    while len(body) < length:
+        chunk = conn.recv(65536)
+        assert chunk, "the client closed the connection"
+        body += chunk
 
 
 class TestRequestId:
@@ -294,6 +313,74 @@ class TestKeepAliveConnections:
                 backend.close()
             assert server.seen[0]["client_address"] != server.seen[1]["client_address"]
 
+    @pytest.mark.parametrize("kept_alive", [False, True], ids=["new", "kept-alive"])
+    def test_close_ends_a_running_fill_at_once_and_a_later_fill_reconnects(self, kept_alive):
+        body = b'{"completion": "ok"}'
+        answer = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+        outcome = []
+
+        def fills(n):
+            for _ in range(n):
+                try:
+                    outcome.append(backend.fill(_request()))
+                except TransportError as exc:
+                    outcome.append(exc)
+
+        with socket.create_server(("127.0.0.1", 0)) as listener:  # answers only when told to
+            listener.settimeout(30)
+            url = f"http://127.0.0.1:{listener.getsockname()[1]}/v1/completions"
+            backend = HttpBackend(_http_config(url, retry_limit=2, timeout_ms=30_000, backoff_ms=5_000))
+            # kept alive: the fill that close() ends waits on the connection of an answered one,
+            # where a reset would otherwise be resent on a fresh connection
+            thread = threading.Thread(target=fills, args=(1 + kept_alive,))
+            thread.start()
+            held = [listener.accept()[0]]
+            try:
+                _read_request(held[0])
+                if kept_alive:
+                    held[0].sendall(answer)
+                    _read_request(held[0])
+                started = time.perf_counter()
+                backend.close()
+                thread.join(timeout=30)
+                assert time.perf_counter() - started < 2
+                *answered, error = outcome
+                assert answered == ["ok"] * kept_alive
+                assert isinstance(error, TransportError) and "closed" in str(error)
+                listener.settimeout(0.2)
+                with pytest.raises(TimeoutError):  # no retry, no resend
+                    held.append(listener.accept()[0])
+
+                listener.settimeout(30)
+                thread = threading.Thread(target=fills, args=(1,))
+                thread.start()
+                held.append(listener.accept()[0])
+                _read_request(held[-1])
+                held[-1].sendall(answer)
+                thread.join(timeout=30)
+                assert outcome[-1] == "ok"
+            finally:
+                backend.close()
+                for conn in held:
+                    conn.close()
+
+    def test_a_close_while_a_fill_connects_still_ends_it(self):
+        import http.client
+
+        class ClosedWhileConnecting(http.client.HTTPConnection):
+            def connect(self):
+                backend.close()  # no socket yet for close() to shut down
+                super().connect()
+
+        with socket.create_server(("127.0.0.1", 0)) as listener:  # accepts and never answers
+            url = f"http://127.0.0.1:{listener.getsockname()[1]}/v1/completions"
+            backend = HttpBackend(_http_config(url, retry_limit=2, timeout_ms=5_000))
+            backend._connection_class = ClosedWhileConnecting
+            started = time.perf_counter()
+            with pytest.raises(TransportError, match="closed"):
+                backend.fill(_request())
+            assert time.perf_counter() - started < 2
+
     def test_close_closes_every_threads_connection(self):
         def fill_three_times():
             for _ in range(3):
@@ -343,6 +430,50 @@ def test_the_runtime_imports_no_http_library_until_it_fills(tmp_path):
         assert result.returncode == 0, result.stderr
         assert result.stdout == "[]\nfilled\n"
         assert len(server.seen) == 1
+
+
+def test_runs_without_a_pool_load_neither_the_pool_nor_socket(tmp_path):
+    # stats reads chains here: its input is any JSONL of records with steps
+    script = tmp_path / "footprint.py"
+    script.write_text(
+        "import sys, time\n"
+        "from stepfim import cli\n"
+        "names = ('concurrent.futures', 'socket', 'logging')\n"
+        "def loaded():\n"
+        "    return [name for name in names if name in sys.modules]\n"
+        "print(loaded())\n"
+        "d, golden = sys.argv[1], sys.argv[2]\n"
+        "runs = [\n"
+        "    ['decompose', '--input', golden, '--output', d + '/chains.jsonl'],\n"
+        "    ['build-fim', '--input', d + '/chains.jsonl', '--output', d + '/fim.jsonl', '--seed', '7'],\n"
+        "    ['stats', '--input', d + '/chains.jsonl', '--output', d + '/stats.json'],\n"
+        "    ['gen-synth', '--count', '12', '--seed', '3', '--out', d + '/synth'],\n"
+        "    ['expand', '--input', d + '/synth/coarse.jsonl', '--output', d + '/expanded.jsonl',\n"
+        "     '--backend', 'oracle', '--max-in-flight', '4'],\n"
+        "]\n"
+        "for argv in runs:\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "    print(argv[0], loaded())\n"
+        "from stepfim.backends import OracleBackend\n"
+        "from stepfim.expand import ExpansionConfig, expand_records\n"
+        "from stepfim.jsonl import read_jsonl\n"
+        "class Waiting:  # a library backend without `waits = False`\n"
+        "    def fill(self, request):\n"
+        "        time.sleep(0.001)\n"
+        "        return OracleBackend().fill(request)\n"
+        "rows = list(read_jsonl(d + '/synth/coarse.jsonl'))\n"
+        "out = [row['id'] for row, _ in expand_records(rows, Waiting(), ExpansionConfig(max_in_flight=4))]\n"
+        "print('pool', loaded(), out == [row['id'] for row in rows])\n",
+        encoding="utf-8",
+    )
+    golden = Path(__file__).parent / "data" / "prep_golden.jsonl"
+    result = subprocess.run([sys.executable, str(script), str(tmp_path), str(golden)],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "[]", "decompose []", "build-fim []", "stats []", "gen-synth []", "expand []",
+        "pool ['concurrent.futures', 'logging'] True",
+    ]
 
 
 class TestFactoryAndConfig:

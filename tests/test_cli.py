@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import signal
@@ -106,6 +107,20 @@ class TestGenSynth:
         assert code == 1, err
         assert "int-to-str digit limit" in err and "ops_max" in err and f"[{lo}, {hi}]" in err
 
+    def test_a_product_spec_past_the_digit_limit_is_refused_before_generating(self, tmp_path, capsys):
+        # 90 ** 2201 has 4,302 digits; generating up to it took over a minute of CPU
+        started = time.perf_counter()
+        code = cli.main(["gen-synth", "--count", "1", "--seed", "1", "--ops-min", "2200",
+                         "--ops-max", "2200", "--operators", "*", "--operand-min", "90",
+                         "--operand-max", "99", "--out", str(tmp_path / "big")])
+        elapsed = time.perf_counter() - started
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.rstrip().endswith("error: values outgrow the int-to-str digit limit; lower ops_max "
+                                     "or the operand range [90, 99]")
+        assert elapsed < 5, elapsed
+        assert not (tmp_path / "big").exists()
+
     def test_seed_is_mandatory(self, tmp_path):
         result = run_cli("gen-synth", "--count", "5", "--out", str(tmp_path / "x"))
         assert result.returncode == 1
@@ -178,6 +193,16 @@ class TestDecompose:
             assert line["error"] == f"ValueError: {message}"
         assert f"2 chains written, {len(rows)} records rejected" in result.stderr
 
+
+    def test_negative_min_step_chars_exits_one_and_writes_nothing(self, tmp_path, capsys):
+        inp, out = tmp_path / "cot.jsonl", tmp_path / "chains.jsonl"
+        _write_jsonl(inp, self._cot_rows())
+        code = cli.main(["decompose", "--input", str(inp), "--output", str(out),
+                         "--min-step-chars", "-5"])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.rstrip().endswith("error: min_step_chars must be >= 0")
+        assert not out.exists()
 
     def test_repeated_ids_are_counted_on_the_summary_line(self, tmp_path, capsys):
         rows = self._cot_rows()
@@ -489,6 +514,44 @@ class TestExpand:
         assert proc.returncode == 130, err
         assert err.rstrip().endswith("error: interrupted")
         assert "Traceback" not in err
+
+    def test_ctrl_c_on_a_pooled_http_run_ends_the_running_requests(self, tmp_path):
+        inp = tmp_path / "in.jsonl"
+        _write_jsonl(inp, [{**CHAIN, "id": f"c{i}"} for i in range(8)])
+        child = ("import signal, sys; signal.signal(signal.SIGINT, signal.default_int_handler); "
+                 "from stepfim.cli import main; sys.exit(main(sys.argv[1:]))")
+        with socket.create_server(("127.0.0.1", 0)) as listener:  # accepts and never answers
+            listener.settimeout(60)
+            url = f"http://127.0.0.1:{listener.getsockname()[1]}/v1/completions"
+            proc = subprocess.Popen(
+                [sys.executable, "-c", child, "expand", "--input", str(inp),
+                 "--output", str(tmp_path / "out.jsonl"), "--backend", "http",
+                 "--endpoint-url", url, "--max-in-flight", "4", "--timeout-ms", "2000"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+            held, late = [], []
+            try:
+                for _ in range(5):  # the probe, then one fill per worker
+                    held.append(listener.accept()[0])
+                proc.send_signal(signal.SIGINT)
+                signalled = time.perf_counter()
+                _, err = proc.communicate(timeout=60)
+                elapsed = time.perf_counter() - signalled
+                listener.settimeout(0)
+                with contextlib.suppress(BlockingIOError):
+                    while True:
+                        late.append(listener.accept()[0])
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.communicate()
+                for conn in held + late:
+                    conn.close()
+        assert proc.returncode == 130, err
+        assert err.rstrip().endswith("error: interrupted")
+        assert "Traceback" not in err
+        assert elapsed < 2, elapsed
+        assert late == []
 
     @pytest.mark.parametrize("kind", ["oracle", "replay"])
     def test_in_process_backend_failing_every_gap_exits_two(self, tmp_path, capsys, kind):
