@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from typing import Any, Callable, TextIO
 from urllib.parse import urlsplit
 
@@ -215,11 +216,6 @@ def _fields_of(config_class: type, cfg: dict[str, Any]) -> dict[str, Any]:
     return {f.name: cfg[f.name] for f in dataclasses.fields(config_class) if f.name in cfg}
 
 
-def _echo_config(cmd: str, cfg: dict[str, Any]) -> None:
-    line = json.dumps({"subcommand": cmd, "config": cfg}, ensure_ascii=False)
-    print(line, file=sys.stderr)
-
-
 def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
@@ -237,37 +233,25 @@ def _write_json(payload: dict[str, Any], path: str) -> None:
         sys.stdout.write(text)
 
 
-class _RepeatedIds:
-    """Counts the records whose id, as `record_id` reads it, an earlier record had."""
-
-    def __init__(self) -> None:
-        self.seen: set[str] = set()
-        self.count = 0
-
-    def see(self, row: dict[str, Any]) -> None:
-        rid = record_id(row)
-        if rid in self.seen:
-            self.count += 1
-        elif rid is not None:
-            self.seen.add(rid)
-
-    def summary(self) -> str:
-        """The end of a subcommand's summary line: empty unless an id repeats."""
-        return f", {self.count} records repeat an earlier id" if self.count else ""
+def _repeats(ids: Counter) -> str:
+    """The end of a subcommand's summary line, from the count of each `record_id`:
+    empty unless some record's id an earlier record had."""
+    count = sum(n - 1 for rid, n in ids.items() if rid is not None)
+    return f", {count} records repeat an earlier id" if count else ""
 
 
 def cmd_decompose(cfg: dict[str, Any]) -> int:
     dconf = DecomposeConfig(min_step_chars=cfg["min_step_chars"])
     kept = rejected = 0
-    repeated = _RepeatedIds()
+    ids: Counter = Counter()
     rejects_handle = _open_out(cfg["rejects"]) if cfg["rejects"] else None
     try:
         with _open_out(cfg["output"]) as out:
             for row in read_jsonl(cfg["input"]):
-                repeated.see(row)
+                ids[record_id(row)] += 1
                 try:
-                    chain = decompose(row["solution"], dconf)
                     question = record_question(row)
+                    chain = decompose(row["solution"], dconf)
                     line = dumps_line(
                         {"id": row["id"], "question": question, "steps": list(chain.texts)}
                     )
@@ -283,23 +267,23 @@ def cmd_decompose(cfg: dict[str, Any]) -> int:
     finally:
         if rejects_handle is not None:
             rejects_handle.close()
-    _note(f"decompose: {kept} chains written, {rejected} records rejected{repeated.summary()}")
+    _note(f"decompose: {kept} chains written, {rejected} records rejected{_repeats(ids)}")
     return 0
 
 
 def cmd_build_fim(cfg: dict[str, Any]) -> int:
     """Write `rounds` FIM samples per chain.
 
-    `sample_fim` draws each sample and checks its text for special tokens;
-    `samples_jsonl` writes a chain's samples as the bytes `dumps_line` would,
-    escaping the question and each step once per chain.
+    `sample_fim` draws a chain's middles and checks the chain for special
+    tokens once; `samples_jsonl` writes its samples as the bytes `dumps_line`
+    would, escaping the question and each step once.
     """
     sampler = SamplerConfig(rounds=cfg["rounds"], seed=cfg["seed"])
     written = skipped = 0
-    repeated = _RepeatedIds()
+    ids: Counter = Counter()
     with _open_out(cfg["output"]) as out:
         for row in read_jsonl(cfg["input"]):
-            repeated.see(row)
+            ids[record_id(row)] += 1
             try:
                 question, chain = chain_record(row)
                 samples = sample_fim(chain, question, sampler, source_id=str(row["id"]))
@@ -307,9 +291,9 @@ def cmd_build_fim(cfg: dict[str, Any]) -> int:
                 skipped += 1
                 _note(f"build-fim: skipping record {row.get('id')!r}: {exc}")
                 continue
-            out.write(samples_jsonl(samples, question, chain))
+            out.write(samples_jsonl(samples))
             written += len(samples)
-    _note(f"build-fim: {written} samples written, {skipped} records skipped{repeated.summary()}")
+    _note(f"build-fim: {written} samples written, {skipped} records skipped{_repeats(ids)}")
     return 0
 
 
@@ -335,7 +319,7 @@ def cmd_expand(cfg: dict[str, Any]) -> int:
 
     counts = {"records": 0, "failed_records": 0, "inserted": 0, "invalid": 0,
               "malformed": 0, "errored": 0}
-    repeated = _RepeatedIds()
+    ids: Counter = Counter()
     started = time.perf_counter()
     results = expand_records(read_jsonl(cfg["input"]), backend, econf)
     report_handle = _open_out(cfg["report"]) if cfg["report"] else None
@@ -345,15 +329,12 @@ def cmd_expand(cfg: dict[str, Any]) -> int:
         with _open_out(cfg["output"]) as out:
             for row, reports in results:
                 out.write(dumps_line(row))
-                repeated.see(row)
+                ids[record_id(row)] += 1
                 counts["records"] += 1
                 for report in reports:
-                    if report.error is not None:
-                        counts["failed_records"] += 1
-                    counts["inserted"] += report.inserted
-                    counts["invalid"] += report.invalid
-                    counts["malformed"] += report.malformed
-                    counts["errored"] += report.errored
+                    counts["failed_records"] += report.error is not None
+                    for key in ("inserted", "invalid", "malformed", "errored"):
+                        counts[key] += getattr(report, key)
                     if report_handle is not None:
                         report_handle.write(dumps_line(report.to_dict()))
     finally:
@@ -366,7 +347,7 @@ def cmd_expand(cfg: dict[str, Any]) -> int:
         "expand: {records} records ({failed_records} failed), "
         "{inserted} inserted / {invalid} invalid / {malformed} malformed / "
         "{errored} errored, {secs:.2f}s, {slots} request{s} in flight at most{repeats}".format(
-            secs=elapsed, slots=slots, s="" if slots == 1 else "s", repeats=repeated.summary(),
+            secs=elapsed, slots=slots, s="" if slots == 1 else "s", repeats=_repeats(ids),
             **counts
         )
     )
@@ -386,12 +367,10 @@ def cmd_gen_synth(cfg: dict[str, Any]) -> int:
     with _open_out(paths["coarse"]) as coarse, _open_out(paths["fine"]) as fine, \
             _open_out(paths["dropped"]) as dropped:
         for prob in problems:
-            coarse.write(dumps_line(
-                {"id": prob.id, "question": prob.question, "steps": list(prob.coarse_chain.texts)}
-            ))
-            fine.write(dumps_line(
-                {"id": prob.id, "question": prob.question, "steps": list(prob.fine_chain.texts)}
-            ))
+            for handle, chain in ((coarse, prob.coarse_chain), (fine, prob.fine_chain)):
+                handle.write(dumps_line(
+                    {"id": prob.id, "question": prob.question, "steps": list(chain.texts)}
+                ))
             dropped.write(dumps_line({"id": prob.id, "dropped_indices": list(prob.dropped_indices)}))
     _note(f"gen-synth: {len(problems)} problems written to {cfg['out']}")
     return 0
@@ -448,18 +427,15 @@ def main(argv: list[str] | None = None) -> int:
             command.set_defaults(**_load_config_file(args.config, command))
             args = parser.parse_args(argv)
         cfg = effective_config(args.cmd, args)
-        _echo_config(args.cmd, cfg)
+        _note(json.dumps({"subcommand": args.cmd, "config": cfg}, ensure_ascii=False))
         return HANDLERS[args.cmd](cfg)
-    except UsageError as exc:
-        _note(f"error: {exc}")
-        return 1
     except BackendUnreachable as exc:
         _note(f"error: {exc}")
         return 3
     except (DataError, JsonlError, EmptyCorpus, MalformedRecord, BadFixture, OSError) as exc:
         _note(f"error: {exc}")
         return 2
-    except ValueError as exc:
+    except ValueError as exc:  # a UsageError, or a value a config dataclass refused
         _note(f"error: {exc}")
         return 1
     except KeyboardInterrupt:  # the handlers' finally blocks have closed their files

@@ -284,8 +284,12 @@ def _expand_row(
 ) -> tuple[dict[str, Any], list[ExpansionReport]]:
     row_id = record_id(row)
     try:
-        chain, reports = expand_iteratively(*chain_record(row), backend, config)
-    except Exception as exc:  # bad shape or backend misuse: this record fails alone
+        question, chain = chain_record(row)
+        # a special token in the input would fail every prompt; a cleaned
+        # candidate holds none, so one check covers every round
+        fim.check_chain(question, chain.texts)
+        chain, reports = expand_iteratively(question, chain, backend, config)
+    except Exception as exc:  # bad shape, a special token or backend misuse: this record fails alone
         steps = row.get("steps")
         n = len(steps) if isinstance(steps, list) else 0
         failure = ExpansionReport(
@@ -320,9 +324,10 @@ def expand_records(
     that are running end, and waits only on them. The workers are not
     daemon threads, so a generator left open at interpreter exit waits for
     the records already handed to them (at most 4 per slot). A record that
-    cannot be expanded (bad shape, backend misuse) is yielded unchanged
-    with a zero-count report carrying the error, so a single poisoned
-    record never aborts a batch run.
+    cannot be expanded (bad shape, a FIM special token in its question or
+    steps, found before its first fill, or backend misuse) is yielded
+    unchanged with a zero-count report carrying the error, so a single
+    poisoned record never aborts a batch run.
     """
     if config is None:
         config = ExpansionConfig()

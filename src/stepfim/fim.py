@@ -7,7 +7,10 @@ prefix and everything after as the suffix. Serialization is PSM order:
     <|fim_prefix|>{question}\\n{prefix}<|fim_suffix|>{suffix}<|fim_middle|>{middle}
 
 The loss span (character offsets into the serialized string) covers
-exactly the middle text.
+exactly the middle text. A `FimSample` stores only its draw (the middle
+index, with the question and the chain's steps) and derives its texts
+and loss span from it; `samples_jsonl` writes samples without building
+their serialized strings.
 """
 
 from __future__ import annotations
@@ -47,34 +50,60 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class FimSample:
-    """One (prefix, suffix, middle) training triple plus its serialization."""
+    """One (prefix, suffix, middle) training triple, stored as its draw.
+
+    Only the draw is stored: `steps` is the chain's own tuple, shared with
+    it. The texts and the loss span are computed from the draw, so the
+    span always covers the middle.
+    """
 
     source_id: str
     round: int
     middle_index: int
-    prefix: str
-    middle: str
-    suffix: str
-    psm_text: str
-    loss_char_start: int
-    loss_char_end: int
+    question: str
+    steps: tuple[str, ...]
+
+    @property
+    def prefix(self) -> str:
+        return STEP_SEPARATOR.join(self.steps[: self.middle_index])
+
+    @property
+    def middle(self) -> str:
+        return self.steps[self.middle_index]
+
+    @property
+    def suffix(self) -> str:
+        return STEP_SEPARATOR.join(self.steps[self.middle_index + 1 :])
+
+    @property
+    def psm_text(self) -> str:
+        """The sample laid out as `format_psm` lays it out."""
+        return (f"{FIM_PREFIX}{self.question}\n{self.prefix}"
+                f"{FIM_SUFFIX}{self.suffix}{FIM_MIDDLE}{self.middle}")
+
+    @property
+    def loss_char_start(self) -> int:
+        """The prompt's length: tokens, question, and the chain but the middle and its separators."""
+        steps, i = self.steps, self.middle_index
+        separators = len(steps) - 1 - (i > 0) - (i < len(steps) - 1)
+        return (_PROMPT_TOKEN_CHARS + len(self.question) + sum(map(len, steps)) - len(steps[i])
+                + separators * len(STEP_SEPARATOR))
+
+    @property
+    def loss_char_end(self) -> int:
+        return self.loss_char_start + len(self.steps[self.middle_index])
 
     def to_dict(self) -> dict:
-        return {
-            "source_id": self.source_id,
-            "round": self.round,
-            "middle_index": self.middle_index,
-            "prefix": self.prefix,
-            "suffix": self.suffix,
-            "middle": self.middle,
-            "psm_text": self.psm_text,
-            "loss_char_start": self.loss_char_start,
-            "loss_char_end": self.loss_char_end,
-        }
+        return {key: getattr(self, key) for key in _LINE_KEYS}
 
 
+# the characters of a prompt that come from neither the question nor a step
+_PROMPT_TOKEN_CHARS = len(FIM_PREFIX) + 1 + len(FIM_SUFFIX) + len(FIM_MIDDLE)
+# the keys of `to_dict`, in the order of a sample's JSON line
+_LINE_KEYS = ("source_id", "round", "middle_index", "prefix", "suffix", "middle", "psm_text",
+              "loss_char_start", "loss_char_end")
 # `dumps_line(sample.to_dict())` with its strings left as %s slots for
-# escaped text: the keys of `to_dict` in order, and `psm_text` laid out as
+# escaped text: the `_LINE_KEYS` in order, and `psm_text` laid out as
 # `format_psm` does it, its newline already escaped
 _SAMPLE_LINE = (
     '{"source_id": "%s", "round": %d, "middle_index": %d, "prefix": "%s", "suffix": "%s", '
@@ -83,31 +112,32 @@ _SAMPLE_LINE = (
 )
 
 
-def samples_jsonl(samples: list[FimSample], question: str, chain: StepChain) -> str:
-    """The JSONL lines of `chain`'s samples, byte for byte `dumps_line(sample.to_dict())`.
+def samples_jsonl(samples: list[FimSample]) -> str:
+    """The JSONL lines of `samples`, byte for byte `dumps_line(sample.to_dict())`.
 
     JSON escapes each character on its own, so the escaped text of a join
-    is the join of the escaped parts. The question and each step are
-    escaped once per chain, and every field of every round is joined from
-    them, instead of escaping the chain again in each sample's prefix,
-    suffix and psm_text. Of the samples' texts only `source_id` is read;
-    the rest of each line comes from `round`, `middle_index` and the loss
-    offsets.
+    is the join of the escaped parts. Each distinct chain's question and
+    steps are escaped once, and every field of its samples is joined from
+    them; the loss offsets come from lengths, so no `psm_text` is built.
     """
     def escape(text: str) -> str:
         return encode_basestring(text)[1:-1]
 
     sep = escape(STEP_SEPARATOR)
-    steps = [escape(text) for text in chain.texts]
-    question = escape(question)
+    escaped: dict[tuple[str, tuple[str, ...]], tuple[str, list[str]]] = {}
     lines = []
     for sample in samples:
+        chain = (sample.question, sample.steps)
+        if chain not in escaped:
+            escaped[chain] = escape(sample.question), [escape(text) for text in sample.steps]
+        question, steps = escaped[chain]
         i = sample.middle_index
         prefix = sep.join(steps[:i])
         suffix = sep.join(steps[i + 1 :])
+        start = sample.loss_char_start
         lines.append(_SAMPLE_LINE % (
             escape(sample.source_id), sample.round, i, prefix, suffix, steps[i],
-            question, prefix, suffix, steps[i], sample.loss_char_start, sample.loss_char_end,
+            question, prefix, suffix, steps[i], start, start + len(sample.middle),
         ))
     return "".join(lines)
 
@@ -119,6 +149,13 @@ def contains_special_token(text: str) -> bool:
 def _check_clean(text: str, what: str) -> None:
     if contains_special_token(text):
         raise SpecialTokenCollision(f"{what} contains a FIM special token")
+
+
+def check_chain(question: str, steps: tuple[str, ...]) -> None:
+    """SpecialTokenCollision naming the question, or step N (from 0), if one holds a token."""
+    _check_clean(question, "question")
+    for n, text in enumerate(steps):
+        _check_clean(text, f"step {n}")
 
 
 def format_prompt(question: str, prefix: str, suffix: str) -> str:
@@ -142,8 +179,7 @@ def format_psm(question: str, prefix: str, suffix: str, middle: str) -> tuple[st
     """
     _check_clean(middle, "middle")
     prompt = format_prompt(question, prefix, suffix)
-    psm_text = prompt + middle
-    return psm_text, len(prompt), len(psm_text)
+    return prompt + middle, len(prompt), len(prompt) + len(middle)
 
 
 def parse_psm(psm_text: str) -> tuple[str, str, str]:
@@ -189,28 +225,16 @@ def sample_fim(
     (duplicates kept). Each draw comes from its own RNG stream keyed by
     (seed, source_id, round), so output is identical no matter how the
     corpus is ordered or sharded.
+
+    Round 0 holds the question and every step, and no special token spans
+    the newline between steps, so `format_psm` on round 0 alone checks the
+    chain, naming middle, question, prefix or suffix, the first that has one.
     """
-    texts = chain.texts
-    n = len(texts)
+    steps = chain.texts
     samples = []
     for r in range(config.rounds):
-        rng = random.Random(_round_key(config.seed, source_id, r))
-        i = rng.randrange(n)
-        prefix = STEP_SEPARATOR.join(texts[:i])
-        middle = texts[i]
-        suffix = STEP_SEPARATOR.join(texts[i + 1 :])
-        psm_text, start, end = format_psm(question, prefix, suffix, middle)
-        samples.append(
-            FimSample(
-                source_id=source_id,
-                round=r,
-                middle_index=i,
-                prefix=prefix,
-                middle=middle,
-                suffix=suffix,
-                psm_text=psm_text,
-                loss_char_start=start,
-                loss_char_end=end,
-            )
-        )
+        i = random.Random(_round_key(config.seed, source_id, r)).randrange(len(steps))
+        samples.append(FimSample(source_id, r, i, question, steps))
+    first = samples[0]
+    format_psm(question, first.prefix, first.suffix, first.middle)
     return samples

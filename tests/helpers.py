@@ -20,6 +20,13 @@ parser and the recursive post-order walk that `stepfim.synth` replaced
 with one left-to-right loop over a stack. `reference_fine_steps` reads a
 question with them, so the loop is checked against the tree on steps and
 error messages.
+
+The sampler reference keeps, verbatim, the per-round `sample_fim` that
+joined each round's prefix, suffix and serialized text and checked every
+round's fields for special tokens, before samples came to store only their
+draw and the chain came to be checked once. `reference_sample_fim` returns
+each sample's `to_dict()`, so the stored draw is checked against the
+strings it stands for, and on error types and messages.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from __future__ import annotations
 import contextlib
 import importlib
 import json
+import random
 import re
 import socket
 import threading
@@ -38,11 +46,13 @@ import numpy as np
 from stepfim.decompose import (
     ABBREVIATIONS,
     MARKER_WORDS,
+    STEP_SEPARATOR,
     _PUNCT_ONLY_RE,
     StepChain,
     UnbalancedMath,
     _word_before,
 )
+from stepfim.fim import _round_key, format_psm
 from stepfim.synth import (
     ALLOWED_OPERATORS,
     ANSWER_TEMPLATE,
@@ -343,6 +353,34 @@ def reference_fine_steps(question: str) -> list[str]:
     value = _emit_steps(_parse_expression(match.group(1)), steps)
     steps.append(ANSWER_TEMPLATE.format(v=value))
     return steps
+
+
+def reference_sample_fim(chain, question, config, source_id=""):
+    """`config.rounds` FIM samples of one chain, as `to_dict()` rows."""
+    texts = chain.texts
+    n = len(texts)
+    samples = []
+    for r in range(config.rounds):
+        rng = random.Random(_round_key(config.seed, source_id, r))
+        i = rng.randrange(n)
+        prefix = STEP_SEPARATOR.join(texts[:i])
+        middle = texts[i]
+        suffix = STEP_SEPARATOR.join(texts[i + 1 :])
+        psm_text, start, end = format_psm(question, prefix, suffix, middle)
+        samples.append(
+            {
+                "source_id": source_id,
+                "round": r,
+                "middle_index": i,
+                "prefix": prefix,
+                "suffix": suffix,
+                "middle": middle,
+                "psm_text": psm_text,
+                "loss_char_start": start,
+                "loss_char_end": end,
+            }
+        )
+    return samples
 
 
 class _StubHandler(BaseHTTPRequestHandler):

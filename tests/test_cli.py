@@ -194,6 +194,18 @@ class TestDecompose:
         assert f"2 chains written, {len(rows)} records rejected" in result.stderr
 
 
+    @pytest.mark.parametrize("row", [{"question": "q?"}, {"question": "q?", "solution": "   "}],
+                             ids=["no-solution", "blank-solution"])
+    def test_a_record_without_an_id_is_rejected_for_its_id(self, tmp_path, row):
+        # the id rule comes first, as in build-fim and expand
+        inp, out, rej = tmp_path / "cot.jsonl", tmp_path / "chains.jsonl", tmp_path / "rej.jsonl"
+        _write_jsonl(inp, [row])
+        result = run_cli(
+            "decompose", "--input", str(inp), "--output", str(out), "--rejects", str(rej)
+        )
+        assert result.returncode == 0, result.stderr
+        assert _read_jsonl(rej) == [{**row, "error": "ValueError: id is missing"}]
+
     def test_negative_min_step_chars_exits_one_and_writes_nothing(self, tmp_path, capsys):
         inp, out = tmp_path / "cot.jsonl", tmp_path / "chains.jsonl"
         _write_jsonl(inp, self._cot_rows())
@@ -568,6 +580,47 @@ class TestExpand:
         (line,) = _read_jsonl(report)[1:]
         assert [p["decision"] for p in line["proposals"]] == ["backend_error"]
         assert _read_jsonl(out) == _read_jsonl(inp)
+
+    # records that a FIM prompt cannot hold, and the error each one's report line gives
+    TOKEN_RECORDS = [
+        ({"id": "q", "question": "What is <|fim_middle|>?", "steps": ["One step here.", "Two."]},
+         "SpecialTokenCollision: question contains a FIM special token"),
+        ({"id": "s", "question": "q?", "steps": ["One step here.", "Two <|fim_prefix|> here."]},
+         "SpecialTokenCollision: step 1 contains a FIM special token"),
+    ]
+
+    def test_special_tokens_in_the_input_fail_their_records_with_no_post(self, tmp_path, capsys):
+        inp, out, report = tmp_path / "in.jsonl", tmp_path / "out.jsonl", tmp_path / "report.jsonl"
+        rows = [row for row, _ in self.TOKEN_RECORDS]
+        _write_jsonl(inp, rows)
+        with StubCompletionServer([(200, {"completion": "Write down both numbers."})]) as server:
+            code = cli.main(["expand", "--input", str(inp), "--output", str(out), "--report",
+                             str(report), "--backend", "http", "--endpoint-url", server.url])
+            assert server.seen == []
+        err = capsys.readouterr().err
+        # the endpoint was reachable: no gap was tried, so this is no backend failure
+        assert code == 0, err
+        assert "2 records (2 failed), 0 inserted / 0 invalid / 0 malformed / 0 errored" in err
+        assert _read_jsonl(out) == rows
+        lines = _read_jsonl(report)[1:]
+        assert [line["error"] for line in lines] == [message for _, message in self.TOKEN_RECORDS]
+        assert all(line["attempted"] == 0 and line["proposals"] == [] for line in lines)
+
+    def test_special_tokens_fail_only_their_records_with_the_oracle(self, tmp_path, capsys):
+        inp, out, report = tmp_path / "in.jsonl", tmp_path / "out.jsonl", tmp_path / "report.jsonl"
+        good = {"id": "c0", "question": "What is the value of (2 + 3) * 4?",
+                "steps": ["Compute 2 + 3 = 5.", "The answer is 20."]}
+        rows = [row for row, _ in self.TOKEN_RECORDS] + [good]
+        _write_jsonl(inp, rows)
+        code = cli.main(["expand", "--input", str(inp), "--output", str(out), "--report",
+                         str(report), "--backend", "oracle"])
+        err = capsys.readouterr().err
+        assert code == 0, err
+        assert "3 records (2 failed), 1 inserted / 0 invalid / 0 malformed / 0 errored" in err
+        assert _read_jsonl(out)[:2] == rows[:2]
+        *failed, last = _read_jsonl(report)[1:]
+        assert [line["error"] for line in failed] == [message for _, message in self.TOKEN_RECORDS]
+        assert last["error"] is None and last["inserted"] == 1
 
     def test_invalid_eta_exits_one(self, synth_dir, tmp_path):
         result = run_cli(

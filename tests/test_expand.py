@@ -386,6 +386,32 @@ class TestRecordStreams:
         assert len(out[0][0]["steps"]) == 2 * len(COARSE) - 1
         assert len(out[2][0]["steps"]) == 2 * len(FINE) - 1
 
+    @pytest.mark.parametrize("mif", [1, 4])
+    def test_a_record_with_a_special_token_fails_before_any_fill(self, mif):
+        rows = self._rows()
+        rows.insert(0, {"id": "q", "question": f"Why {FIM_MIDDLE}?", "steps": list(COARSE)})
+        rows.insert(2, {"id": "s", "question": QUESTION,
+                        "steps": [COARSE[0], f"{COARSE[1]} {FIM_PREFIX}", COARSE[2]]})
+        seen = []
+
+        class Recording(NoveltyBackend):  # waits, so mif 4 fills on pool workers
+            def fill(self, request):
+                seen.append(request)  # one append at a time under the interpreter lock
+                return super().fill(request)
+
+        config = ExpansionConfig(iterations=2, max_in_flight=mif)
+        out = list(expand_records(rows, Recording(), config))
+        assert [row for row, _ in out][0::2] == rows[0::2]
+        errors = [reports[0].error for _, reports in out]
+        assert errors == ["SpecialTokenCollision: question contains a FIM special token", None,
+                          "SpecialTokenCollision: step 1 contains a FIM special token", None]
+        assert [(r.attempted, r.input_steps) for _, reports in out[0::2] for r in reports] == [
+            (0, 3), (0, 3)]
+        # only the two clean records were filled, in both rounds
+        assert len(seen) == sum(r.attempted for _, reports in out for r in reports) > 0
+        assert {request.question for request in seen} == {QUESTION}
+        assert all(FIM_PREFIX not in step for request in seen for step in request.suffix_steps)
+
     def test_empty_steps_is_poisoned_not_fatal(self):
         rows = [{"id": "r0", "question": QUESTION, "steps": []}]
         (row, reports), = expand_records(rows, NoveltyBackend(), ExpansionConfig())

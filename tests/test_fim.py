@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import collections
+import dataclasses
+from unittest import mock
 
 import pytest
+from helpers import reference_sample_fim
 from hypothesis import given, settings, strategies as st
 
+from stepfim import fim
 from stepfim.decompose import StepChain, join
 from stepfim.fim import (
     FIM_MIDDLE,
     FIM_PREFIX,
     FIM_SUFFIX,
     SPECIAL_TOKENS,
+    FimSample,
     MalformedPsm,
     SamplerConfig,
     SpecialTokenCollision,
@@ -188,6 +193,19 @@ class TestSampling:
             "loss_char_end",
         ]
 
+    def test_a_sample_stores_its_draw_and_shares_the_chain(self):
+        chain = self._chain()
+        (sample,) = sample_fim(chain, "Q?", SamplerConfig(rounds=1, seed=6), "r")
+        fields = [field.name for field in dataclasses.fields(FimSample)]
+        assert fields == ["source_id", "round", "middle_index", "question", "steps"]
+        assert sample.steps is chain.texts
+
+    def test_the_chain_is_serialized_and_checked_once_whatever_the_rounds(self):
+        with mock.patch.object(fim, "format_psm", wraps=fim.format_psm) as spy:
+            samples = sample_fim(self._chain(), "Q?", SamplerConfig(rounds=8, seed=6), "r")
+        assert len(samples) == 8
+        assert spy.call_count == 1
+
     @pytest.mark.parametrize("rounds", [0, -1])
     def test_rounds_must_be_positive(self, rounds):
         with pytest.raises(ValueError):
@@ -205,6 +223,38 @@ class TestSampling:
         for sample in sample_fim(chain, "Q?", SamplerConfig(rounds=2, seed=seed), "rid"):
             assert reassemble(sample.prefix, sample.middle, sample.suffix) == join(chain)
             assert sample.psm_text[sample.loss_char_start : sample.loss_char_end] == sample.middle
+
+
+def _outcome(call):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# short text, now and then holding a special token, whole or built from two halves
+TOKEN_TEXT = st.lists(
+    st.text(max_size=6) | st.sampled_from(SPECIAL_TOKENS + ("<|fim_", "middle|>", "suffix|>")),
+    max_size=4,
+).map("".join)
+
+
+class TestReferenceSampler:
+    @settings(max_examples=400)
+    @given(
+        st.lists(TOKEN_TEXT.map(str.strip).filter(bool), min_size=1, max_size=6),
+        TOKEN_TEXT,
+        st.text(max_size=6),
+        st.integers(0, 2**64 - 1),
+        st.integers(1, 4),
+    )
+    def test_samples_and_errors_match_the_per_round_sampler(self, steps, question, source_id,
+                                                            seed, rounds):
+        chain = StepChain.from_texts(steps)
+        config = SamplerConfig(rounds=rounds, seed=seed)
+        got = _outcome(lambda: [s.to_dict() for s in sample_fim(chain, question, config, source_id)])
+        assert got == _outcome(lambda: reference_sample_fim(chain, question, config, source_id))
 
 
 # any text, control characters, quotes and backslashes included
@@ -226,4 +276,14 @@ class TestJsonLines:
         samples = sample_fim(chain, question, SamplerConfig(rounds=rounds, seed=seed),
                              source_id=source_id)
         expected = "".join(dumps_line(sample.to_dict()) for sample in samples)
-        assert samples_jsonl(samples, question, chain) == expected
+        assert samples_jsonl(samples) == expected
+
+    def test_samples_of_two_chains_in_one_call(self):
+        first = sample_fim(StepChain.from_texts(["x = 1.", 'Say "hi",\tthen \\ stop.']), "Q1?",
+                           SamplerConfig(rounds=3, seed=1), "a")
+        second = sample_fim(StepChain.from_texts(["\u00e9 \u2192 \u00fc", "b", "The end."]),
+                            "Q2\n?", SamplerConfig(rounds=2, seed=2), "b")
+        samples = [first[0], second[0], first[1], second[1], first[2]]
+        expected = "".join(dumps_line(sample.to_dict()) for sample in samples)
+        assert samples_jsonl(samples) == expected
+        assert samples_jsonl([]) == ""

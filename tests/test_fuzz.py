@@ -6,11 +6,16 @@ exit 0 (bad records are skipped, rejected or passed through) or 2 (bad
 data), never raise out of `cli.main` and never print a traceback. With
 the oracle, `expand` exits 2 when every gap it tried ended in
 `backend_error`: the oracle cannot parse a question it did not generate.
+
+Every record is accounted for: the counts on a subcommand's summary line
+add up to the input rows, and `decompose`, `build-fim` and `expand` give
+each record without an id the one reason `id is missing`.
 """
 
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -40,6 +45,25 @@ COMMANDS = {
     "stats": ["--output", "{out}"],
 }
 
+# each summary line, and the input rows its counts add up to (build-fim writes 3 samples a record)
+SUMMARIES = {
+    "decompose": (r"decompose: (\d+) chains written, (\d+) records rejected",
+                  lambda kept, rejected: kept + rejected),
+    "build-fim": (r"build-fim: (\d+) samples written, (\d+) records skipped",
+                  lambda written, skipped: written / 3 + skipped),
+    "expand": (r"expand: (\d+) records \(\d+ failed\)", lambda records: records),
+    "stats": (r"stats: (\d+) records summarized", lambda records: records),
+}
+
+
+def _id_missing_reports(cmd: str, err: str, rej: str) -> int:
+    """How many records the run reported as `id is missing`."""
+    if cmd == "build-fim":
+        return sum(line.endswith(": id is missing") for line in err.splitlines())
+    with open(rej, encoding="utf-8") as handle:
+        lines = [json.loads(line) for line in handle]
+    return sum(line.get("error") == "ValueError: id is missing" for line in lines)
+
 
 @pytest.mark.parametrize("cmd", sorted(COMMANDS))
 @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -54,3 +78,13 @@ def test_any_json_objects_keep_the_exit_code_contract(tmp_path, capsys, rows, cm
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert code in (0, 2), err
+
+    pattern, rows_counted = SUMMARIES[cmd]
+    summary = re.search(pattern, err)
+    if code == 0:
+        assert summary is not None, err
+    if summary is not None:
+        assert rows_counted(*map(int, summary.groups())) == len(rows), err
+    if cmd != "stats" and summary is not None:
+        id_less = sum("id" not in row for row in rows)
+        assert _id_missing_reports(cmd, err, paths["rej"]) == id_less, err
