@@ -10,7 +10,8 @@ Three kinds:
 - replay: answers from a recorded fixture file, for offline tests.
 
 Every request carries a stable content hash (`request_id`) so responses
-can be recorded once and replayed byte-identically.
+can be recorded once and replayed byte-identically. `gap_requests` builds
+the requests of a whole chain with their ids set, escaping its text once.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import os
 import threading
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring
 from typing import Any, Iterable, Protocol
 from urllib.parse import urlsplit
 
@@ -53,6 +55,22 @@ def request_id_for(question: str, prefix_steps: tuple[str, ...], suffix_steps: t
         separators=(",", ":"),
     ).encode("utf-8")
     return hashlib.sha256(payload).hexdigest()
+
+
+def gap_requests(question: str, steps: tuple[str, ...], first: int) -> list[FimRequest]:
+    """The request of each gap i from `first` to len(steps): `steps[:i-1]`, then `steps[i-1:]`.
+
+    Each `request_id` is `request_id_for`'s, joined from one escape of the question and of
+    each step: `json.dumps(..., ensure_ascii=False)` escapes each string with `encode_basestring`."""
+    head = b"[" + encode_basestring(question).encode("utf-8") + b",["
+    pieces = [encode_basestring(text).encode("utf-8") for text in steps]
+    requests = []
+    for i in range(first, len(steps) + 1):
+        payload = b"".join((head, b",".join(pieces[: i - 1]), b"],[", b",".join(pieces[i - 1 :]), b"]]"))
+        request = FimRequest(question, steps[: i - 1], steps[i - 1 :])
+        request.__dict__["request_id"] = hashlib.sha256(payload).hexdigest()  # the cached_property's slot
+        requests.append(request)
+    return requests
 
 
 @dataclass(frozen=True)

@@ -152,11 +152,14 @@ def _options(command: _Parser) -> list[argparse.Action]:
     return [action for action in command._actions if action.dest not in ("help", "config")]
 
 
+# the parser of every run without --config, built once: parsing leaves it as it was
+_PARSER = build_parser()
+
 # Per-subcommand defaults, read off the parser. None marks "must be
 # provided by flag or config".
 DEFAULTS: dict[str, dict[str, Any]] = {
     cmd: {action.dest: action.default for action in _options(command)}
-    for cmd, command in build_parser().commands.items()
+    for cmd, command in _PARSER.commands.items()
 }
 
 _ALL_KEYS = {key for table in DEFAULTS.values() for key in table}
@@ -389,6 +392,8 @@ def _load_stats_file(path: str) -> CorpusStats:
             data = json.load(handle)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: invalid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     try:
         return CorpusStats.from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
@@ -418,11 +423,12 @@ HANDLERS: dict[str, Callable[[dict[str, Any]], int]] = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.config:
-            # checked file values stand in for the defaults: flags still win
+            # checked file values stand in for the defaults (flags still win), on a
+            # parser of this run's own, so that no later run sees them
+            parser = build_parser()
             command = parser.commands[args.cmd]
             command.set_defaults(**_load_config_file(args.config, command))
             args = parser.parse_args(argv)

@@ -3,7 +3,9 @@
 For every gap between consecutive steps, the engine asks a FIM backend
 for the step that might be missing there (prefix = steps before the gap,
 suffix = the full remaining tail), gates the candidate by similarity to
-the step that follows, and inserts the survivors.
+the step that follows, and inserts the survivors. A round escapes its
+chain's text once and builds every gap's request, and its `request_id`,
+from it (`requests_for_chain`); each round's report is built once.
 
 The engine is three public calls, each built on the next: `expand_chain`
 runs one round, filling a chain's gaps one at a time in gap order and
@@ -35,12 +37,12 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from stepfim import fim
-from stepfim.backends import FimBackend, FimRequest
+from stepfim.backends import FimBackend, FimRequest, gap_requests
 from stepfim.decompose import StepChain, chain_record, record_id
 from stepfim.similarity import DEFAULT_ETA, gate
 
@@ -170,13 +172,10 @@ def clean_candidate(raw: str) -> tuple[str, bool]:
 def requests_for_chain(
     question: str, chain: StepChain, config: ExpansionConfig
 ) -> list[tuple[int, FimRequest]]:
-    """One (gap_index, request) per gap: prefix before it, full tail after."""
-    texts = chain.texts
+    """One (gap_index, request) per gap: prefix before it, full tail after; each
+    `request_id` is set from one escape of the round's text (`gap_requests`)."""
     first = 1 if config.include_leading_gap else 2
-    return [
-        (i, FimRequest(question, texts[: i - 1], texts[i - 1 :]))
-        for i in range(first, len(texts) + 1)
-    ]
+    return list(enumerate(gap_requests(question, chain.texts, first), start=first))
 
 
 def _propose(
@@ -212,6 +211,9 @@ def expand_chain(
     chain: StepChain,
     backend: FimBackend,
     config: ExpansionConfig | None = None,
+    *,
+    iteration: int = 0,
+    record_id: str | None = None,
 ) -> tuple[StepChain, ExpansionReport]:
     """One expansion pass over every gap of the chain.
 
@@ -221,6 +223,7 @@ def expand_chain(
     gap). A one-step chain has no interior gap and returns unchanged
     unless the leading gap is enabled. The gaps are filled one at a time,
     in gap order, on the calling thread, whatever `max_in_flight` is.
+    `iteration` and `record_id` are written into the report.
     """
     if config is None:
         config = ExpansionConfig()
@@ -241,6 +244,8 @@ def expand_chain(
     for p in proposals:
         counts[p.decision] += 1
     return expanded, ExpansionReport(
+        record_id=record_id,
+        iteration=iteration,
         input_steps=len(chain),
         output_steps=len(expanded),
         attempted=len(proposals),
@@ -258,20 +263,24 @@ def expand_iteratively(
     chain: StepChain,
     backend: FimBackend,
     config: ExpansionConfig | None = None,
+    *,
+    iteration: int = 0,
+    record_id: str | None = None,
 ) -> tuple[StepChain, list[ExpansionReport]]:
     """Apply expand_chain `config.iterations` times, each round feeding the next.
 
     Rounds are a strict barrier: every gap of round r is decided before
     round r+1 sees the chain. All gaps are re-expanded each round; the
     gate keeps already-dense regions stable. Like `expand_chain`, this
-    fills on the calling thread, one gap at a time.
+    fills on the calling thread, one gap at a time. The reports carry
+    `record_id` and count rounds from `iteration`.
     """
     if config is None:
         config = ExpansionConfig()
     reports: list[ExpansionReport] = []
-    for iteration in range(config.iterations):
-        chain, report = expand_chain(question, chain, backend, config)
-        reports.append(replace(report, iteration=iteration) if iteration else report)
+    for n in range(iteration, iteration + config.iterations):
+        chain, report = expand_chain(question, chain, backend, config, iteration=n, record_id=record_id)
+        reports.append(report)
     return chain, reports
 
 
@@ -288,7 +297,7 @@ def _expand_row(
         # a special token in the input would fail every prompt; a cleaned
         # candidate holds none, so one check covers every round
         fim.check_chain(question, chain.texts)
-        chain, reports = expand_iteratively(question, chain, backend, config)
+        chain, reports = expand_iteratively(question, chain, backend, config, record_id=row_id)
     except Exception as exc:  # bad shape, a special token or backend misuse: this record fails alone
         steps = row.get("steps")
         n = len(steps) if isinstance(steps, list) else 0
@@ -301,7 +310,7 @@ def _expand_row(
         return row, [failure]
     out = dict(row)
     out["steps"] = list(chain.texts)
-    return out, [replace(r, record_id=row_id) for r in reports]
+    return out, reports
 
 
 def expand_records(

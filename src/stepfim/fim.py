@@ -83,11 +83,8 @@ class FimSample:
 
     @property
     def loss_char_start(self) -> int:
-        """The prompt's length: tokens, question, and the chain but the middle and its separators."""
-        steps, i = self.steps, self.middle_index
-        separators = len(steps) - 1 - (i > 0) - (i < len(steps) - 1)
-        return (_PROMPT_TOKEN_CHARS + len(self.question) + sum(map(len, steps)) - len(steps[i])
-                + separators * len(STEP_SEPARATOR))
+        lengths = [len(text) for text in self.steps]
+        return _loss_char_start(len(self.question) + sum(lengths), lengths, self.middle_index)
 
     @property
     def loss_char_end(self) -> int:
@@ -99,6 +96,15 @@ class FimSample:
 
 # the characters of a prompt that come from neither the question nor a step
 _PROMPT_TOKEN_CHARS = len(FIM_PREFIX) + 1 + len(FIM_SUFFIX) + len(FIM_MIDDLE)
+
+
+def _loss_char_start(text_chars: int, lengths: list[int], i: int) -> int:
+    """The prompt's length: tokens, and the question and steps (`text_chars` in
+    all, `lengths` each) but middle i and its separators."""
+    separators = len(lengths) - 1 - (i > 0) - (i < len(lengths) - 1)
+    return _PROMPT_TOKEN_CHARS + text_chars - lengths[i] + separators * len(STEP_SEPARATOR)
+
+
 # the keys of `to_dict`, in the order of a sample's JSON line
 _LINE_KEYS = ("source_id", "round", "middle_index", "prefix", "suffix", "middle", "psm_text",
               "loss_char_start", "loss_char_end")
@@ -116,28 +122,29 @@ def samples_jsonl(samples: list[FimSample]) -> str:
     """The JSONL lines of `samples`, byte for byte `dumps_line(sample.to_dict())`.
 
     JSON escapes each character on its own, so the escaped text of a join
-    is the join of the escaped parts. Each distinct chain's question and
-    steps are escaped once, and every field of its samples is joined from
-    them; the loss offsets come from lengths, so no `psm_text` is built.
+    is the join of the escaped parts. A chain's question and steps are
+    escaped and measured once for its run of samples, whose fields are
+    joined from them and whose loss offsets come from the lengths.
     """
     def escape(text: str) -> str:
         return encode_basestring(text)[1:-1]
 
     sep = escape(STEP_SEPARATOR)
-    escaped: dict[tuple[str, tuple[str, ...]], tuple[str, list[str]]] = {}
+    chain: tuple[str, tuple[str, ...]] | None = None
     lines = []
     for sample in samples:
-        chain = (sample.question, sample.steps)
-        if chain not in escaped:
-            escaped[chain] = escape(sample.question), [escape(text) for text in sample.steps]
-        question, steps = escaped[chain]
+        if chain != (sample.question, sample.steps):  # a tuple compares its items by identity first
+            chain = sample.question, sample.steps
+            question, steps = escape(sample.question), [escape(text) for text in sample.steps]
+            lengths = [len(text) for text in sample.steps]
+            text_chars = len(sample.question) + sum(lengths)
         i = sample.middle_index
         prefix = sep.join(steps[:i])
         suffix = sep.join(steps[i + 1 :])
-        start = sample.loss_char_start
+        start = _loss_char_start(text_chars, lengths, i)
         lines.append(_SAMPLE_LINE % (
             escape(sample.source_id), sample.round, i, prefix, suffix, steps[i],
-            question, prefix, suffix, steps[i], start, start + len(sample.middle),
+            question, prefix, suffix, steps[i], start, start + lengths[i],
         ))
     return "".join(lines)
 

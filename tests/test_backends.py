@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+from json.encoder import encode_basestring
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,7 @@ from stepfim.backends import (
     record_fixtures,
     request_id_for,
 )
-from stepfim.expand import BACKEND_ERROR, expand_records
+from stepfim.expand import BACKEND_ERROR, ExpansionConfig, expand_records
 from stepfim.fim import SPECIAL_TOKENS, format_prompt
 from stepfim.synth import CorpusSpec, generate, oracle_fill
 
@@ -99,28 +100,43 @@ class TestRequestId:
         assert hashed == _request() and hash(hashed) == hash(_request())
 
     def test_a_replay_run_hashes_each_gap_once(self, monkeypatch):
-        rows = [
-            {"id": p.id, "question": p.question, "steps": list(p.coarse_chain.texts)}
-            for p in generate(CorpusSpec(count=8, seed=3))
-        ]
-        mapping = {}
-        for row in rows:
-            steps = tuple(row["steps"])
-            for i in range(1, len(steps)):
-                rid = request_id_for(row["question"], steps[:i], steps[i:])
-                mapping[rid] = oracle_fill(row["question"], steps[:i], steps[i:])
-        calls = []
+        """A round escapes its question and each step once and joins every gap's
+        id from them: no `request_id_for` call per gap, and every id equals it."""
+        problems = generate(CorpusSpec(count=8, seed=3))
+        rows = [{"id": p.id, "question": p.question, "steps": list(p.coarse_chain.texts)}
+                for p in problems]
+        # the chain each record's two rounds see: the oracle fills every dropped step
+        rounds = [(p.question, chain.texts) for p in problems for chain in (p.coarse_chain, p.fine_chain)]
+        mapping = {
+            request_id_for(question, steps[:i], steps[i:]): oracle_fill(question, steps[:i], steps[i:])
+            for question, steps in rounds
+            for i in range(1, len(steps))
+        }
+        escaped, hashed = [], []
 
-        def counted(*args):
-            calls.append(args)
+        def counted_escape(text):
+            escaped.append(text)
+            return encode_basestring(text)
+
+        def counted_hash(*args):
+            hashed.append(args)
             return request_id_for(*args)
 
-        monkeypatch.setattr(backends, "request_id_for", counted)
-        reports = [r for _, rs in expand_records(rows, ReplayBackend(mapping)) for r in rs]
-        proposals = [p for r in reports for p in r.proposals]
-        assert len(proposals) == len(mapping) > 0
-        assert all(p.decision != BACKEND_ERROR for p in proposals)
-        assert len(calls) == len(proposals)
+        monkeypatch.setattr(backends, "encode_basestring", counted_escape)
+        monkeypatch.setattr(backends, "request_id_for", counted_hash)
+        results = list(expand_records(rows, ReplayBackend(mapping), ExpansionConfig(iterations=2)))
+        monkeypatch.undo()
+
+        assert [row["steps"] for row, _ in results] == [list(p.fine_chain.texts) for p in problems]
+        assert escaped == [text for question, steps in rounds for text in (question, *steps)]
+        assert hashed == []
+        reports = [r for _, rs in results for r in rs]
+        assert len(reports) == len(rounds)
+        for (question, steps), report in zip(rounds, reports):
+            assert [p.decision for p in report.proposals].count(BACKEND_ERROR) == 0
+            assert [p.request_id for p in report.proposals] == [
+                request_id_for(question, steps[: i - 1], steps[i - 1 :]) for i in range(2, len(steps) + 1)
+            ]
 
 
 class TestOracleBackend:

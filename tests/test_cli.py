@@ -321,6 +321,28 @@ class TestExpand:
         assert result.returncode == 0, result.stderr
         assert out.read_bytes() == (synth_dir / "fine.jsonl").read_bytes()
 
+    def test_a_fixture_recorded_by_request_id_for_replays_two_rounds(self, synth_dir, tmp_path):
+        """The engine's ids, built from one escape a round, are `request_id_for`'s."""
+        fixture = {}
+        for name in ("coarse", "fine"):  # round 2 sees the chain that round 1 filled in
+            for row in _read_jsonl(synth_dir / f"{name}.jsonl"):
+                steps = tuple(row["steps"])
+                for i in range(1, len(steps)):
+                    prefix, suffix = steps[:i], steps[i:]
+                    fixture[request_id_for(row["question"], prefix, suffix)] = synth.oracle_fill(
+                        row["question"], prefix, suffix)
+        _write_jsonl(tmp_path / "fixture.jsonl", [{"request_id": rid, "response": answer}
+                                                  for rid, answer in fixture.items()])
+        out, report = tmp_path / "expanded.jsonl", tmp_path / "report.jsonl"
+        assert cli.main(["expand", "--input", str(synth_dir / "coarse.jsonl"), "--output", str(out),
+                         "--report", str(report), "--backend", "replay", "--iterations", "2",
+                         "--fixture-path", str(tmp_path / "fixture.jsonl")]) == 0
+        assert out.read_bytes() == (synth_dir / "fine.jsonl").read_bytes()
+        proposals = [p for line in _read_jsonl(report)[1:] for p in line["proposals"]]
+        assert len(proposals) == len(fixture)
+        assert [p["error"] for p in proposals if p["error"]] == []
+        assert {p["request_id"] for p in proposals} == set(fixture)
+
     def test_repeated_ids_are_counted_on_the_summary_line(self, synth_dir, tmp_path, capsys):
         rows = _read_jsonl(synth_dir / "coarse.jsonl")
         inp, out = tmp_path / "coarse.jsonl", tmp_path / "expanded.jsonl"
@@ -870,6 +892,44 @@ class TestExitCodesAndConfig:
         assert "in.jsonl:1: invalid JSON" in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("cmd", ["decompose", "build-fim", "expand", "stats", "compare"])
+    def test_input_that_is_not_utf8_exits_two(self, tmp_path, capsys, cmd):
+        row = {"id": "a", "question": "q?", "solution": "One step. Two step.", "steps": ["One.", "Two."]}
+        lines = [json.dumps(row).encode("utf-8") + b"\n"] * 700  # more than one read buffer
+        lines[600] = b'{"id": "b", "question": "q\xff?"}\n'
+        inp, out = tmp_path / "in.jsonl", str(tmp_path / "out.jsonl")
+        inp.write_bytes(b"".join(lines))
+        argv = {
+            "decompose": ["--input", str(inp), "--output", out],
+            "build-fim": ["--input", str(inp), "--output", out, "--seed", "1"],
+            "expand": ["--input", str(inp), "--output", out, "--backend", "oracle"],
+            "stats": ["--input", str(inp)],
+            "compare": ["--before", str(inp), "--after", str(inp)],
+        }[cmd]
+        assert cli.main([cmd, *argv]) == 2
+        err = capsys.readouterr().err
+        where = "in.jsonl" if cmd == "compare" else "in.jsonl:601"
+        assert f"{where}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff" in err, err
+
+    @pytest.mark.parametrize("cmd", ["decompose", "build-fim", "expand", "stats"])
+    def test_a_lone_surrogate_escape_exits_two(self, tmp_path, capsys, cmd):
+        # valid JSON that no UTF-8 file can hold; a surrogate pair is one character and passes
+        inp, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        inp.write_text('{"id": "a", "question": "q\\ud83d\\ude00?", "solution": "One step. Two step.", '
+                       '"steps": ["One.", "Two."]}\n'
+                       '{"id": "b", "question": "q\\ud800?", "solution": "One step. Two step.", '
+                       '"steps": ["One.", "Two."]}\n', encoding="ascii")
+        argv = {
+            "decompose": ["--output", str(out)],
+            "build-fim": ["--output", str(out), "--seed", "1"],
+            "expand": ["--output", str(out), "--backend", "oracle"],
+            "stats": [],
+        }[cmd]
+        assert cli.main([cmd, "--input", str(inp), *argv]) == 2
+        assert "in.jsonl:2: a lone surrogate escape is not UTF-8 text" in capsys.readouterr().err
+        if cmd != "stats":  # the record before it was written whole
+            assert "q\U0001f600?" in out.read_text(encoding="utf-8")
+
     def test_stderr_opens_with_the_effective_config(self, synth_dir):
         result = run_cli("stats", "--input", str(synth_dir / "fine.jsonl"))
         echo = json.loads(result.stderr.splitlines()[0])
@@ -897,6 +957,17 @@ class TestExitCodesAndConfig:
         )
         assert result.returncode == 0
         assert len(_read_jsonl(out)) == 12
+
+    def test_a_config_file_leaves_later_runs_alone(self, synth_dir, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"seed": 7, "rounds": 2}), encoding="utf-8")
+        argv = ["build-fim", "--input", str(synth_dir / "fine.jsonl"), "--output", str(tmp_path / "fim.jsonl")]
+        assert cli.main([*argv, "--config", str(cfg)]) == 0
+        assert cli.main(argv) == 1
+        assert "build-fim requires --seed" in capsys.readouterr().err
+        assert cli.main([*argv, "--seed", "7"]) == 0
+        assert json.loads(capsys.readouterr().err.splitlines()[0])["config"]["rounds"] == 3
+        assert len(_read_jsonl(tmp_path / "fim.jsonl")) == 12 * 3
 
     def test_unknown_config_key_exits_one(self, synth_dir, tmp_path):
         cfg = tmp_path / "run.json"

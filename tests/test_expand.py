@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stepfim import expand
-from stepfim.backends import FimRequest, OracleBackend
+from stepfim.backends import FimRequest, OracleBackend, request_id_for
 from stepfim.decompose import StepChain
 from stepfim.expand import (
     BACKEND_ERROR,
@@ -33,6 +33,12 @@ from stepfim.jsonl import JsonlError
 QUESTION = "What is the value of ((2 + 3) * 4) - 5?"
 FINE = ("Compute 2 + 3 = 5.", "Compute 5 * 4 = 20.", "Compute 20 - 5 = 15.", "The answer is 15.")
 COARSE = ("Compute 2 + 3 = 5.", "Compute 20 - 5 = 15.", "The answer is 15.")
+
+
+# what JSON escapes or keeps as is: quotes, backslashes, control characters,
+# non-ASCII and astral text, and any other character UTF-8 can encode
+TRICKY_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t é€\u2028😀𝔸') | st.characters(codec="utf-8"),
+                      max_size=12)
 
 
 def _chain(texts=COARSE) -> StepChain:
@@ -112,6 +118,16 @@ class TestRequestsForChain:
 
     def test_single_step_chain_has_no_interior_gap(self):
         assert requests_for_chain(QUESTION, _chain(("only step here.",)), ExpansionConfig()) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(question=TRICKY_TEXT, steps=st.lists(TRICKY_TEXT.map(str.strip).filter(bool), min_size=1, max_size=6),
+           leading=st.booleans())
+    def test_every_id_is_request_id_for_its_gap(self, question, steps, leading):
+        pairs = requests_for_chain(question, _chain(steps), ExpansionConfig(include_leading_gap=leading))
+        assert [i for i, _ in pairs] == list(range(1 if leading else 2, len(steps) + 1))
+        for i, request in pairs:
+            assert request == FimRequest(question, tuple(steps[: i - 1]), tuple(steps[i - 1 :]))
+            assert request.request_id == request_id_for(question, request.prefix_steps, request.suffix_steps)
 
 
 class TestDecisions:

@@ -1,11 +1,13 @@
 """JSONL of any shape through the CLI: the exit-code contract holds.
 
 Every line is a valid JSON object, but its keys and values are drawn at
-random, biased toward the keys the subcommands read. A subcommand must
-exit 0 (bad records are skipped, rejected or passed through) or 2 (bad
-data), never raise out of `cli.main` and never print a traceback. With
-the oracle, `expand` exits 2 when every gap it tried ended in
-`backend_error`: the oracle cannot parse a question it did not generate.
+random, biased toward the keys the subcommands read; a text value may
+hold a lone surrogate, valid JSON that is no UTF-8 text, and one line may
+not be UTF-8 at all. A subcommand must exit 0 (bad records are skipped,
+rejected or passed through) or 2 (bad data), never raise out of
+`cli.main` and never print a traceback. With the oracle, `expand` exits 2
+when every gap it tried ended in `backend_error`: the oracle cannot parse
+a question it did not generate.
 
 Every record is accounted for: the counts on a subcommand's summary line
 add up to the input rows, and `decompose`, `build-fim` and `expand` give
@@ -23,18 +25,21 @@ from hypothesis import strategies as st
 
 from stepfim import cli
 
+# st.text() draws no surrogate; this alphabet holds every assigned character, and
+# surrogates among them: JSON escapes one ("\ud800"), and a lone one is no UTF-8 text
+texts = st.text(st.characters(exclude_categories=["Cn"]), max_size=40)
 json_values = st.recursive(
     st.none()
     | st.booleans()
     | st.integers()
     | st.floats(allow_nan=False, allow_infinity=False)
-    | st.text(max_size=40),
+    | texts,
     lambda children: st.lists(children, max_size=4)
     | st.dictionaries(st.text(max_size=6), children, max_size=4),
     max_leaves=10,
 )
 keys = st.sampled_from(["id", "question", "solution", "steps"]) | st.text(max_size=6)
-steps = st.lists(st.text(max_size=40), max_size=5)
+steps = st.lists(texts, max_size=5)
 records = st.dictionaries(keys, json_values | steps, max_size=5)
 
 COMMANDS = {
@@ -67,17 +72,21 @@ def _id_missing_reports(cmd: str, err: str, rej: str) -> int:
 
 @pytest.mark.parametrize("cmd", sorted(COMMANDS))
 @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(rows=st.lists(records, max_size=4))
-def test_any_json_objects_keep_the_exit_code_contract(tmp_path, capsys, rows, cmd):
+@given(rows=st.lists(records, max_size=4), not_utf8_at=st.none() | st.integers(0, 4))
+def test_any_json_objects_keep_the_exit_code_contract(tmp_path, capsys, rows, not_utf8_at, cmd):
     paths = {name: str(tmp_path / f"{name}.jsonl") for name in ("in", "out", "rej")}
-    with open(paths["in"], "w", encoding="utf-8") as handle:
-        for row in rows:
-            handle.write(json.dumps(row, allow_nan=False) + "\n")
+    lines = [json.dumps(row, allow_nan=False).encode("ascii") + b"\n" for row in rows]
+    if not_utf8_at is not None:
+        lines.insert(not_utf8_at, b'{"id": "\xff"}\n')
+    with open(paths["in"], "wb") as handle:
+        handle.write(b"".join(lines))
     argv = [cmd, "--input", paths["in"], *(arg.format(**paths) for arg in COMMANDS[cmd])]
     code = cli.main(argv)
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert code in (0, 2), err
+    if not_utf8_at is not None:
+        assert f"in.jsonl:{min(not_utf8_at, len(rows)) + 1}: not UTF-8 text" in err, err
 
     pattern, rows_counted = SUMMARIES[cmd]
     summary = re.search(pattern, err)
