@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from stepfim import fim
 from stepfim.backends import FimBackend, FimRequest, gap_requests
-from stepfim.decompose import StepChain, chain_record, record_id
+from stepfim.decompose import StepChain, chain_record, record_id as row_record_id
 from stepfim.similarity import DEFAULT_ETA, gate
 
 if TYPE_CHECKING:
@@ -264,7 +264,6 @@ def expand_iteratively(
     backend: FimBackend,
     config: ExpansionConfig | None = None,
     *,
-    iteration: int = 0,
     record_id: str | None = None,
 ) -> tuple[StepChain, list[ExpansionReport]]:
     """Apply expand_chain `config.iterations` times, each round feeding the next.
@@ -273,12 +272,12 @@ def expand_iteratively(
     round r+1 sees the chain. All gaps are re-expanded each round; the
     gate keeps already-dense regions stable. Like `expand_chain`, this
     fills on the calling thread, one gap at a time. The reports carry
-    `record_id` and count rounds from `iteration`.
+    `record_id`.
     """
     if config is None:
         config = ExpansionConfig()
     reports: list[ExpansionReport] = []
-    for n in range(iteration, iteration + config.iterations):
+    for n in range(config.iterations):
         chain, report = expand_chain(question, chain, backend, config, iteration=n, record_id=record_id)
         reports.append(report)
     return chain, reports
@@ -291,7 +290,7 @@ class _Stopped(BaseException):
 def _expand_row(
     row: dict[str, Any], backend: FimBackend, config: ExpansionConfig
 ) -> tuple[dict[str, Any], list[ExpansionReport]]:
-    row_id = record_id(row)
+    row_id = row_record_id(row)
     try:
         question, chain = chain_record(row)
         # a special token in the input would fail every prompt; a cleaned

@@ -20,38 +20,25 @@ def read_jsonl(path: str) -> Iterator[dict[str, Any]]:
     """Yield one dict per non-blank line; raises JsonlError with the line number.
 
     A line that is not UTF-8, or whose JSON escapes a lone surrogate (valid
-    JSON, but no text that a UTF-8 file can hold), is refused.
+    JSON, but no text that a UTF-8 file can hold), is refused; every line
+    before it is yielded first.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    row = json.loads(line)
-                except ValueError as exc:  # also an int past the 4,300-digit conversion limit
-                    raise JsonlError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-                if not isinstance(row, dict):
-                    raise JsonlError(f"{path}:{lineno}: expected a JSON object")
-                # a line with no backslash, the common case, costs one memchr here
-                if "\\" in line and _SURROGATE_ESCAPE.search(line) and \
-                        _SURROGATE.search(json.dumps(row, ensure_ascii=False)):
-                    raise JsonlError(f"{path}:{lineno}: a lone surrogate escape is not UTF-8 text")
-                yield row
-        except UnicodeDecodeError:  # raised by the handle, which decodes ahead of the lines
-            raise JsonlError(f"{path}:{_first_undecodable(path)}") from None
-
-
-def _first_undecodable(path: str) -> str:
-    """`N: not UTF-8 text: <why>` for the first line of `path` that is not UTF-8."""
     with open(path, "rb") as handle:
         for lineno, raw in enumerate(handle, start=1):
             try:
-                raw.decode("utf-8")
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                row = json.loads(line)
             except UnicodeDecodeError as exc:
-                return f"{lineno}: not UTF-8 text: {exc}"
-    return " not UTF-8 text"  # the file changed after the failed read
+                raise JsonlError(f"{path}:{lineno}: not UTF-8 text: {exc}") from exc
+            except ValueError as exc:  # also an int past the 4,300-digit conversion limit
+                raise JsonlError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            if not isinstance(row, dict):
+                raise JsonlError(f"{path}:{lineno}: expected a JSON object")
+            if _SURROGATE_ESCAPE.search(line) and _SURROGATE.search(json.dumps(row, ensure_ascii=False)):
+                raise JsonlError(f"{path}:{lineno}: a lone surrogate escape is not UTF-8 text")
+            yield row
 
 
 def dumps_line(row: dict[str, Any]) -> str:

@@ -9,7 +9,7 @@ under the same tokenizer_id, so diffs across schemes are refused.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Iterable
 
 from stepfim.decompose import STEP_SEPARATOR
@@ -39,7 +39,13 @@ class CorpusStats:
     tokenizer_id: str
 
     def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
+        return {
+            "samples": self.samples,
+            "avg_tokens": self.avg_tokens,
+            "total_tokens": self.total_tokens,
+            "avg_steps": self.avg_steps,
+            "tokenizer_id": self.tokenizer_id,
+        }
 
     @classmethod
     def from_dict(cls, row: dict[str, Any]) -> "CorpusStats":
@@ -51,8 +57,13 @@ class CorpusStats:
             if isinstance(value, bool) or not isinstance(value, allowed):
                 raise TypeError(f"{name} must be {' or '.join(t.__name__ for t in allowed)}, "
                                 f"not {type(value).__name__}")
-        return cls(**{name: float(row[name]) if float in allowed else row[name]
-                      for name, allowed in types.items()})
+        return cls(
+            samples=row["samples"],
+            avg_tokens=float(row["avg_tokens"]),
+            total_tokens=row["total_tokens"],
+            avg_steps=float(row["avg_steps"]),
+            tokenizer_id=row["tokenizer_id"],
+        )
 
 
 def render_pct(pct: float) -> str:
@@ -71,11 +82,22 @@ class StatsDelta:
     tokenizer_id: str
 
     def formatted(self) -> dict[str, str]:
-        return {key: render_pct(getattr(self, f"{key}_pct"))
-                for key in ("samples", "avg_tokens", "total_tokens", "avg_steps")}
+        return {
+            "samples": render_pct(self.samples_pct),
+            "avg_tokens": render_pct(self.avg_tokens_pct),
+            "total_tokens": render_pct(self.total_tokens_pct),
+            "avg_steps": render_pct(self.avg_steps_pct),
+        }
 
     def to_dict(self) -> dict[str, Any]:
-        return {**asdict(self), "formatted": self.formatted()}
+        return {
+            "samples_pct": self.samples_pct,
+            "avg_tokens_pct": self.avg_tokens_pct,
+            "total_tokens_pct": self.total_tokens_pct,
+            "avg_steps_pct": self.avg_steps_pct,
+            "tokenizer_id": self.tokenizer_id,
+            "formatted": self.formatted(),
+        }
 
 
 def stats(records: Iterable[dict[str, Any]]) -> CorpusStats:

@@ -910,6 +910,9 @@ class TestExitCodesAndConfig:
         err = capsys.readouterr().err
         where = "in.jsonl" if cmd == "compare" else "in.jsonl:601"
         assert f"{where}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff" in err, err
+        if cmd in ("decompose", "build-fim", "expand"):  # every record before it was written
+            written = len(_read_jsonl(out))
+            assert written == 600 * (3 if cmd == "build-fim" else 1)
 
     @pytest.mark.parametrize("cmd", ["decompose", "build-fim", "expand", "stats"])
     def test_a_lone_surrogate_escape_exits_two(self, tmp_path, capsys, cmd):
