@@ -16,6 +16,13 @@ _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
 
+def has_lone_surrogate(text: str, value: Any) -> bool:
+    """Whether `value`, decoded from the JSON `text`, holds a lone surrogate:
+    valid JSON, but no text that a UTF-8 file can hold."""
+    return (_SURROGATE_ESCAPE.search(text) is not None
+            and _SURROGATE.search(json.dumps(value, ensure_ascii=False)) is not None)
+
+
 def read_jsonl(path: str) -> Iterator[dict[str, Any]]:
     """Yield one dict per non-blank line; raises JsonlError with the line number.
 
@@ -36,7 +43,7 @@ def read_jsonl(path: str) -> Iterator[dict[str, Any]]:
                 raise JsonlError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             if not isinstance(row, dict):
                 raise JsonlError(f"{path}:{lineno}: expected a JSON object")
-            if _SURROGATE_ESCAPE.search(line) and _SURROGATE.search(json.dumps(row, ensure_ascii=False)):
+            if has_lone_surrogate(line, row):
                 raise JsonlError(f"{path}:{lineno}: a lone surrogate escape is not UTF-8 text")
             yield row
 

@@ -12,6 +12,7 @@ an explicit stack, so no nesting depth is too deep for it.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import random
@@ -250,11 +251,17 @@ def fine_steps_for_question(question: str) -> list[str]:
             pos += 1
 
 
-def _match_forward(fine: list[str], target: str, start: int) -> int | None:
-    for i in range(start, len(fine)):
-        if fine[i] == target:
-            return i
-    return None
+@functools.lru_cache(maxsize=1)
+def _fine_steps_of(question: str) -> tuple[str, ...]:
+    # one entry: a record's fills run back to back, and nothing outlives the next record
+    return tuple(fine_steps_for_question(question))
+
+
+def _match_forward(fine: tuple[str, ...], target: str, start: int) -> int | None:
+    try:
+        return fine.index(target, start)
+    except ValueError:
+        return None
 
 
 def oracle_fill(
@@ -264,13 +271,14 @@ def oracle_fill(
 ) -> str:
     """Fill one gap the way an ideal step-expansion model would.
 
-    Recomputes the fine chain from the question, locates the gap between
-    the last prefix step and the first suffix step, and returns the first
-    step missing there. When nothing is missing, returns the first suffix
-    step verbatim; the caller's similarity gate will then reject it, which
-    is exactly how an already-detailed chain should behave.
+    Derives the fine chain from the question, once per run of fills on the
+    same question, locates the gap between the last prefix step and the
+    first suffix step, and returns the first step missing there. When
+    nothing is missing, returns the first suffix step verbatim; the
+    caller's similarity gate will then reject it, which is exactly how an
+    already-detailed chain should behave.
     """
-    fine = fine_steps_for_question(question)
+    fine = _fine_steps_of(question)
 
     pos = -1
     for step in prefix_steps:

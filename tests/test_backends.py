@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import re
 import socket
@@ -146,6 +147,35 @@ class TestOracleBackend:
             HAND_QUESTION, HAND_FINE[:1], HAND_FINE[2:]
         )
         assert OracleBackend().fill(request) == "Compute 5 * 4 = 20."
+
+    def test_threads_on_interleaved_questions_get_the_serial_answers(self):
+        # each call moves to another question, so the shared one-question memo turns over
+        # on every fill, with other threads turning it over in between
+        chains = [(p.question, p.coarse_chain.texts) for p in generate(CorpusSpec(count=6, seed=5))]
+        per_question = [[FimRequest(q, steps[:i], steps[i:]) for i in range(len(steps) + 1)]
+                        for q, steps in chains]
+        requests = [r for column in itertools.zip_longest(*per_question) for r in column
+                    if r is not None]
+        serial = [OracleBackend().fill(r) for r in requests]
+        results, backend = {}, OracleBackend()
+
+        def fill_all(k):
+            order = requests[k:] + requests[:k]
+            results[k] = [backend.fill(r) for _ in range(5) for r in order]
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more thread switches between the memo's lookup and store
+        try:
+            threads = [threading.Thread(target=fill_all, args=(k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        for k in range(8):
+            assert results[k] == (serial[k:] + serial[:k]) * 5
 
 
 class TestReplayBackend:

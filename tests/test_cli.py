@@ -771,6 +771,22 @@ class TestInProcessFills:
         assert fill_threads == {calling}
         assert max(thread_counts) <= threads_before
 
+    def test_the_oracle_parses_each_question_once(self, synth_dir, tmp_path, monkeypatch):
+        parses = []
+        fine_steps_for_question = synth.fine_steps_for_question
+
+        def counting_fine_steps(question):
+            parses.append(question)
+            return fine_steps_for_question(question)
+
+        synth._fine_steps_of.cache_clear()  # a question left by an earlier test would count 0
+        monkeypatch.setattr(synth, "fine_steps_for_question", counting_fine_steps)
+        out = tmp_path / "out.jsonl"
+        assert cli.main(["expand", "--input", str(synth_dir / "coarse.jsonl"), "--output", str(out),
+                         "--backend", "oracle", "--iterations", "3"]) == 0
+        assert out.read_bytes() == (synth_dir / "fine.jsonl").read_bytes()
+        assert len(parses) == len(set(parses)) == 12
+
 
 class TestStatsAndCompare:
     def test_stats_prints_json_to_stdout(self, synth_dir):
@@ -839,6 +855,21 @@ class TestStatsAndCompare:
         assert "Traceback" not in result.stderr
         (error,) = [line for line in result.stderr.splitlines() if line.startswith("error:")]
         assert needle in error
+
+    @pytest.mark.parametrize("tokenizer_id, needle", [
+        # json reads the escape, but no UTF-8 output can hold what it decodes to
+        pytest.param('"\\udc80"', "a lone surrogate escape is not UTF-8 text", id="lone-surrogate"),
+        pytest.param("1" + "0" * 4300, "invalid JSON: Exceeds the limit", id="int-past-digit-limit"),
+    ])
+    def test_compare_refuses_a_stats_file_before_writing(self, tmp_path, capsys, tokenizer_id, needle):
+        summary = tmp_path / "s.json"
+        summary.write_text('{"samples": 2, "avg_tokens": 3.5, "total_tokens": 7, "avg_steps": 2.0, '
+                           f'"tokenizer_id": {tokenizer_id}}}', encoding="ascii")
+        out = tmp_path / "delta.json"
+        argv = ["compare", "--before", str(summary), "--after", str(summary), "--output", str(out)]
+        assert cli.main(argv) == 2
+        assert f"error: {summary}: {needle}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_stats_on_empty_corpus_exits_two(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
@@ -1057,6 +1088,18 @@ class TestExitCodesAndConfig:
             assert key in error
         else:
             assert json.loads(result.stderr.splitlines()[0])["config"][key] == value
+
+    @pytest.mark.parametrize("content, needle", [
+        pytest.param(b'{"input": "x\xff.jsonl"}', "not UTF-8 text: 'utf-8' codec can't decode byte 0xff",
+                     id="not-utf8"),
+        pytest.param(b'{"seed": 1' + b"0" * 4300 + b"}", "invalid JSON: Exceeds the limit",
+                     id="int-past-digit-limit"),
+    ])
+    def test_an_unreadable_config_file_is_named(self, tmp_path, capsys, content, needle):
+        cfg = tmp_path / "run.json"
+        cfg.write_bytes(content)
+        assert cli.main(["build-fim", "--config", str(cfg)]) == 1
+        assert f"error: config file {cfg}: {needle}" in capsys.readouterr().err
 
     def test_config_file_must_be_a_json_object(self, tmp_path):
         cfg = tmp_path / "run.json"

@@ -226,6 +226,7 @@ class TestOracleFill:
                 filled = oracle_fill(problem.question, coarse[:position], coarse[position:])
                 assert filled == fine[dropped_index]
 
-    def test_non_synthetic_question_raises(self):
-        with pytest.raises(UnparsableQuestion):
-            oracle_fill("What is love?", ["a"], ["b"])
+    def test_non_synthetic_question_raises(self):  # on every fill: failures are not memoized
+        for _ in range(2):
+            with pytest.raises(UnparsableQuestion):
+                oracle_fill("What is love?", ["a"], ["b"])
