@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -214,6 +215,21 @@ def effective_config(cmd: str, args: argparse.Namespace) -> dict[str, Any]:
         flags = ", ".join("--" + key.replace("_", "-") for key in missing)
         raise UsageError(f"{cmd} requires {flags} (by flag or config file)")
     return cfg
+
+
+def _same_file(a: str, b: str) -> bool:
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.abspath(a) == os.path.abspath(b)
+
+
+def _check_distinct_paths(cfg: dict[str, Any]) -> None:
+    """Refuse a run whose input, output, report or rejects paths name one file:
+    opening the output first would empty the input before it is read."""
+    paths = [(key, cfg[key]) for key in ("input", "output", "report", "rejects") if cfg.get(key)]
+    for (key_a, a), (key_b, b) in itertools.combinations(paths, 2):
+        if _same_file(a, b):
+            raise UsageError(f"--{key_a} {a} and --{key_b} {b} name one file")
 
 
 def _fields_of(config_class: type, cfg: dict[str, Any]) -> dict[str, Any]:
@@ -438,6 +454,7 @@ def main(argv: list[str] | None = None) -> int:
             command.set_defaults(**_load_config_file(args.config, command))
             args = parser.parse_args(argv)
         cfg = effective_config(args.cmd, args)
+        _check_distinct_paths(cfg)
         _note(json.dumps({"subcommand": args.cmd, "config": cfg}, ensure_ascii=False))
         return HANDLERS[args.cmd](cfg)
     except BackendUnreachable as exc:

@@ -29,19 +29,22 @@ ABBREVIATIONS = frozenset(
     }
 )
 
-# A sentence end that may break: ./!/? and a space, then an ASCII capital,
-# a marker word (ASCII case folding only, so neither "ſ" nor the Kelvin
-# sign stands in for a letter) or a non-ASCII character, which breaks
-# only when it is upper case.
-_BREAK_RE = re.compile(
-    r"[.!?] (?=[A-Z]|(?ai:%s)(?![A-Za-z])|[^\x00-\x7f])" % "|".join(sorted(MARKER_WORDS))
+# One token each: a math opener; a backslash pair whose second character
+# would open or escape (\$ and \\ stay plain text); a sentence end that may
+# break: ./!/? before a space and an ASCII capital, a marker word (ASCII case
+# folding only, so neither "ſ" nor the Kelvin sign stands in for a letter) or
+# a non-ASCII character, which breaks only when it is upper case; or a step
+# marker, led by its space. A sentence end consumes only its ./!/?, so its
+# space can lead a marker, and a marker stops before its :/., which can end
+# a sentence. Any other backslash is no token, so "\." can end a sentence.
+_TOKEN_RE = re.compile(
+    r"\\begin\{|\\[(\[$\\]|\$\$?"
+    r"|[.!?](?= (?:[A-Z]|(?ai:%s)(?![A-Za-z])|[^\x00-\x7f]))"
+    r"| Step \d+(?=[:.])" % "|".join(sorted(MARKER_WORDS))
 )
-# led by its space: a pattern that starts with a literal is searched fast
-_STEP_MARKER_RE = re.compile(r" Step \d+[:.]")
 # the letter before the period of each abbreviation
 _ABBREVIATION_ENDS = frozenset(abbreviation[-2] for abbreviation in ABBREVIATIONS)
 _PUNCT_ONLY_RE = re.compile(r"[\W_]+$")
-_OPENER_RE = re.compile(r"\\begin\{|\\[\s\S]|\$\$?")
 _ENV_TAG_RE = re.compile(r"\\(begin|end)\{")
 _DOLLAR_CLOSE_RE = re.compile(r"(?<!\\)\$")
 _CLOSERS = {"$$": "$$", "\\(": "\\)", "\\[": "\\]"}
@@ -137,39 +140,6 @@ def _env_end(text: str, start: int) -> int:
     raise UnbalancedMath(f"unclosed \\begin at offset {start}")
 
 
-def _scan_math_spans(text: str) -> list[tuple[int, int]]:
-    """Return [start, end) spans of protected math-mode content.
-
-    Protected delimiters: $...$, $$...$$, \\(...\\), \\[...\\] and
-    \\begin{ENV}...\\end{ENV} (nesting allowed). One regex search finds
-    the next opener or backslash pair, so \\$ and \\\\ stay plain text.
-    The closer is then found with `str.find`, with a search for a `$` that
-    no backslash precedes, or by walking the \\begin/\\end tags. Raises
-    UnbalancedMath when an opener is never closed.
-    """
-    spans: list[tuple[int, int]] = []
-    pos = 0
-    while (opener := _OPENER_RE.search(text, pos)) is not None:
-        start, token = opener.start(), opener.group()
-        pos = opener.end()
-        if token in _CLOSERS:
-            close = text.find(_CLOSERS[token], pos)
-            if close < 0:
-                raise UnbalancedMath(f"unclosed {token} at offset {start}")
-            pos = close + 2
-        elif token == "$":
-            close = _DOLLAR_CLOSE_RE.search(text, pos)
-            if close is None:
-                raise UnbalancedMath(f"unclosed $ at offset {start}")
-            pos = close.end()
-        elif token == "\\begin{":
-            pos = _env_end(text, start)
-        else:  # any other backslash pair is plain text
-            continue
-        spans.append((start, pos))
-    return spans
-
-
 def _word_before(text: str, period_pos: int) -> str:
     """Token ending at (and including) the char at period_pos."""
     start = text.rfind(" ", 0, period_pos)
@@ -177,40 +147,52 @@ def _word_before(text: str, period_pos: int) -> str:
     return token.lstrip("([{")
 
 
-def _find_breaks(text: str, spans: list[tuple[int, int]]) -> list[int]:
-    """Positions in `text` where a new step starts.
+def _step_starts(text: str) -> list[int]:
+    """Positions in `text` where a new step starts, in increasing order.
 
-    Candidates are searched in a copy of `text` whose math spans are
-    blanked to NUL, so none falls inside a formula. One regex finds each
-    sentence end whose next character could open a step; Python then only
-    drops a non-ASCII next character that is not upper case and a period
-    that ends an abbreviation, reading the original text. Each break
-    position is preceded by exactly one space (the text is
-    whitespace-normalized), so slicing at breaks and rstripping loses only
-    that separator space.
+    One left-to-right search of `_TOKEN_RE`. A math span ($...$, $$...$$,
+    \\(...\\), \\[...\\] or \\begin{ENV}...\\end{ENV}, nesting allowed) is
+    skipped whole: its closer is found with `str.find`, with a search for a
+    `$` that no backslash precedes, or by walking the \\begin/\\end tags, so
+    nothing inside it starts a step. Raises UnbalancedMath when an opener is
+    never closed. Python drops only a sentence end whose next character is
+    non-ASCII and not upper case, and a period that ends an abbreviation,
+    and a marker at the start a sentence end already gave. Each start is
+    preceded by exactly one space (the text is whitespace-normalized), so
+    slicing at starts and rstripping loses only that separator space.
     """
-    pieces: list[str] = []
-    prev = 0
-    for start, end in spans:
-        pieces += (text[prev:start], "\0" * (end - start))
-        prev = end
-    masked = "".join(pieces) + text[prev:]
-    breaks: list[int] = []
-
-    for match in _BREAK_RE.finditer(masked):
-        p = match.start()
-        nxt = text[p + 2]
-        if nxt >= "\x80" and not nxt.isupper():
-            continue
-        # decimals like 3.5 carry no space after the period, so they never
-        # match; abbreviations do and are skipped explicitly
-        if (text[p] == "." and text[p - 1] in _ABBREVIATION_ENDS
-                and _word_before(text, p) in ABBREVIATIONS):
-            continue
-        breaks.append(p + 2)
-
-    markers = [match.start() + 1 for match in _STEP_MARKER_RE.finditer(masked)]
-    return sorted({*breaks, *markers})
+    starts: list[int] = []
+    pos = 0
+    while (token := _TOKEN_RE.search(text, pos)) is not None:
+        start, kind = token.start(), token.group()
+        pos = token.end()
+        if kind[0] == " ":  # a step marker
+            if not starts or starts[-1] != start + 1:
+                starts.append(start + 1)
+        elif kind in ".!?":  # a sentence end
+            nxt = text[start + 2]
+            if nxt >= "\x80" and not nxt.isupper():
+                continue
+            # decimals like 3.5 carry no space after the period, so they never
+            # match; abbreviations do and are skipped explicitly
+            if (kind == "." and text[start - 1] in _ABBREVIATION_ENDS
+                    and _word_before(text, start) in ABBREVIATIONS):
+                continue
+            starts.append(start + 2)
+        elif kind in _CLOSERS:
+            close = text.find(_CLOSERS[kind], pos)
+            if close < 0:
+                raise UnbalancedMath(f"unclosed {kind} at offset {start}")
+            pos = close + 2
+        elif kind == "$":
+            close = _DOLLAR_CLOSE_RE.search(text, pos)
+            if close is None:
+                raise UnbalancedMath(f"unclosed $ at offset {start}")
+            pos = close.end()
+        elif kind == "\\begin{":
+            pos = _env_end(text, start)
+        # else an escaped "$" or backslash: plain text
+    return starts
 
 
 def _merge_fragments(segments: list[str], min_chars: int) -> list[str]:
@@ -268,12 +250,9 @@ def decompose(solution: str, config: DecomposeConfig | None = None) -> StepChain
     if _PUNCT_ONLY_RE.fullmatch(text):
         raise EmptySolution("solution contains no step content")
 
-    spans = _scan_math_spans(text)
-    breaks = _find_breaks(text, spans)
-
     segments: list[str] = []
     prev = 0
-    for b in breaks + [len(text)]:
+    for b in _step_starts(text) + [len(text)]:
         seg = text[prev:b].rstrip()
         if seg:
             segments.append(seg)

@@ -12,12 +12,12 @@ an explicit stack, so no nesting depth is too deep for it.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 import random
 import re
 import sys
+import threading
 from dataclasses import dataclass
 
 from stepfim.decompose import StepChain
@@ -251,10 +251,16 @@ def fine_steps_for_question(question: str) -> list[str]:
             pos += 1
 
 
-@functools.lru_cache(maxsize=1)
+# the last question each thread parsed and its fine steps: a record's fills run
+# back to back on one thread, and nothing outlives that thread's next record
+_last_parse = threading.local()
+
+
 def _fine_steps_of(question: str) -> tuple[str, ...]:
-    # one entry: a record's fills run back to back, and nothing outlives the next record
-    return tuple(fine_steps_for_question(question))
+    entry = getattr(_last_parse, "entry", None)
+    if entry is None or entry[0] != question:
+        entry = _last_parse.entry = (question, tuple(fine_steps_for_question(question)))
+    return entry[1]
 
 
 def _match_forward(fine: tuple[str, ...], target: str, start: int) -> int | None:
@@ -272,11 +278,11 @@ def oracle_fill(
     """Fill one gap the way an ideal step-expansion model would.
 
     Derives the fine chain from the question, once per run of fills on the
-    same question, locates the gap between the last prefix step and the
-    first suffix step, and returns the first step missing there. When
-    nothing is missing, returns the first suffix step verbatim; the
-    caller's similarity gate will then reject it, which is exactly how an
-    already-detailed chain should behave.
+    same question on one thread, locates the gap between the last prefix
+    step and the first suffix step, and returns the first step missing
+    there. When nothing is missing, returns the first suffix step verbatim;
+    the caller's similarity gate will then reject it, which is exactly how
+    an already-detailed chain should behave.
     """
     fine = _fine_steps_of(question)
 

@@ -10,10 +10,10 @@ independent arithmetic.
 The splitter reference keeps, verbatim, the character-at-a-time
 math-span scanner, the per-candidate break checks with the three regexes
 they used, and the carry-based fragment merge that `stepfim.decompose`
-replaced with regex searches over a masked copy, a break rule in one
-lookahead and a single merge pass. `reference_decompose` runs
-`decompose` with them, so the search-based splitter is checked against
-the walking one on spans, breaks, chains and error messages.
+replaced with one left-to-right token search that skips math spans whole
+and a single merge pass. `reference_decompose` runs `decompose` with them,
+so the one scan is checked against the walking scanner and break finder
+on step starts, chains and error messages.
 
 The question reader reference keeps, verbatim, the recursive-descent
 parser and the recursive post-order walk that `stepfim.synth` replaced
@@ -277,8 +277,7 @@ def reference_decompose(solution, config=None) -> StepChain:
     """`decompose` with the reference scanner and break finder swapped in."""
     with mock.patch.multiple(
         decompose_module,
-        _scan_math_spans=_scan_math_spans,
-        _find_breaks=_find_breaks,
+        _step_starts=lambda text: _find_breaks(text, _scan_math_spans(text)),
         _merge_fragments=_merge_fragments,
     ):
         return decompose_module.decompose(solution, config)

@@ -779,13 +779,38 @@ class TestInProcessFills:
             parses.append(question)
             return fine_steps_for_question(question)
 
-        synth._fine_steps_of.cache_clear()  # a question left by an earlier test would count 0
+        # a question left by an earlier test would count 0
+        monkeypatch.setattr(synth, "_last_parse", threading.local())
         monkeypatch.setattr(synth, "fine_steps_for_question", counting_fine_steps)
         out = tmp_path / "out.jsonl"
         assert cli.main(["expand", "--input", str(synth_dir / "coarse.jsonl"), "--output", str(out),
                          "--backend", "oracle", "--iterations", "3"]) == 0
         assert out.read_bytes() == (synth_dir / "fine.jsonl").read_bytes()
         assert len(parses) == len(set(parses)) == 12
+
+    def test_a_waiting_oracle_parses_once_per_record_under_a_pool(self, tmp_path, monkeypatch):
+        # pool workers interleave records; each keeps the last question it parsed
+        out_dir = tmp_path / "synth"
+        assert run_cli("gen-synth", "--count", "24", "--seed", "5", "--out", str(out_dir),
+                       "--ops-min", "3", "--ops-max", "6").returncode == 0
+        questions = [row["question"] for row in _read_jsonl(out_dir / "coarse.jsonl")]
+        parses = []
+        fine_steps_for_question = synth.fine_steps_for_question
+
+        def counting_fine_steps(question):
+            parses.append(question)
+            return fine_steps_for_question(question)
+
+        monkeypatch.setattr(synth, "_last_parse", threading.local())
+        monkeypatch.setattr(synth, "fine_steps_for_question", counting_fine_steps)
+        backend = LatencyOracle(questions)
+        monkeypatch.setattr(cli, "make_backend", lambda config: backend)
+        out = tmp_path / "out.jsonl"
+        assert cli.main(["expand", "--input", str(out_dir / "coarse.jsonl"), "--output", str(out),
+                         "--backend", "oracle", "--iterations", "2", "--max-in-flight", "4"]) == 0
+        assert out.read_bytes() == (out_dir / "fine.jsonl").read_bytes()
+        assert backend.peak > 1  # records did overlap
+        assert sorted(parses) == sorted(questions)
 
 
 class TestStatsAndCompare:
@@ -905,6 +930,34 @@ class TestExitCodesAndConfig:
         )
         assert result.returncode == 2
         assert "bad.jsonl:1" in result.stderr
+
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["build-fim", "--output", "{d}/in.jsonl", "--seed", "1"], ("input", "output")),
+            (["expand", "--output", "{d}/in.jsonl", "--backend", "oracle"], ("input", "output")),
+            (["expand", "--output", "{d}/out.jsonl", "--report", "{d}/in.jsonl", "--backend", "oracle"],
+             ("input", "report")),
+            (["decompose", "--output", "{d}/link.jsonl"], ("input", "output")),
+            (["decompose", "--output", "{d}/out.jsonl", "--rejects", "{d}/in.jsonl"], ("input", "rejects")),
+            # neither exists yet: their normalized absolute paths are compared
+            (["decompose", "--output", "{d}/out.jsonl", "--rejects", "{d}/sub/../out.jsonl"],
+             ("output", "rejects")),
+            (["stats", "--output", "{d}/in.jsonl"], ("input", "output")),
+        ],
+    )
+    def test_two_paths_that_name_one_file_exit_one(self, synth_dir, tmp_path, argv, flags):
+        inp = tmp_path / "in.jsonl"
+        inp.write_bytes((synth_dir / "coarse.jsonl").read_bytes())
+        (tmp_path / "link.jsonl").symlink_to(inp)
+        (tmp_path / "sub").mkdir()
+        result = run_cli(*(arg.format(d=tmp_path) for arg in argv), "--input", str(inp))
+        assert result.returncode == 1, result.stderr
+        assert "Traceback" not in result.stderr
+        assert f"error: --{flags[0]} " in result.stderr
+        assert f" and --{flags[1]} " in result.stderr and "name one file" in result.stderr
+        assert inp.read_bytes() == (synth_dir / "coarse.jsonl").read_bytes()
+        assert not (tmp_path / "out.jsonl").exists()
 
     @pytest.mark.parametrize("cmd", ["decompose", "build-fim", "expand", "stats"])
     def test_an_integer_past_the_conversion_limit_exits_two(self, tmp_path, cmd):

@@ -18,8 +18,7 @@ from stepfim.decompose import (
     NonTextSolution,
     StepChain,
     UnbalancedMath,
-    _find_breaks,
-    _scan_math_spans,
+    _step_starts,
     decompose,
     join,
     normalize_ws,
@@ -155,6 +154,9 @@ _MATH_ATOMS = [
     # a step number in Arabic-Indic digits, and sentence ends with their space
     "É", "é", "Ω", "ǅ", "\u212a", "firſt", "FIRST", "firstly", "Thence", "(e.g.", "[Dr.",
     "{cf.", "Step 12:", "Step ١:", "(", "[", ". ", "? ",
+    # backslash pairs that neither open nor escape, a NUL, and a marker whose period
+    # ends a sentence
+    "\\.", "\\ ", "\\!", "\0", " Step 3. Next",
 ]
 
 
@@ -167,7 +169,7 @@ def _outcome(split, text):
 
 
 class TestMatchesWalkingSplitter:
-    """The search-based splitter against the character-walking reference in helpers."""
+    """The one-scan splitter against the character-walking reference in helpers."""
 
     @settings(max_examples=1500)
     @given(
@@ -175,10 +177,8 @@ class TestMatchesWalkingSplitter:
         st.sampled_from([0, 3, 10, 30]),
     )
     def test_spans_breaks_and_chains_match_the_reference(self, text, min_step_chars):
-        spans = _outcome(_scan_math_spans, text)
-        assert spans == _outcome(reference_spans, text)
-        if isinstance(spans, list):
-            assert _find_breaks(text, spans) == reference_breaks(text, spans)
+        starts = _outcome(_step_starts, text)
+        assert starts == _outcome(lambda t: reference_breaks(t, reference_spans(t)), text)
         config = DecomposeConfig(min_step_chars=min_step_chars)
         chain = _outcome(lambda t: decompose(t, config).texts, text)
         assert chain == _outcome(lambda t: reference_decompose(t, config).texts, text)
@@ -190,12 +190,19 @@ class TestMatchesWalkingSplitter:
 
     def test_lone_end_tag_is_plain_text(self):
         text = "Open \\end{x without close. Then go on."
-        assert _scan_math_spans(text) == []
         assert texts(text) == ["Open \\end{x without close.", "Then go on."]
 
     def test_trailing_backslash_is_plain_text(self):
         text = "Trailing backslash here. Then it ends \\"
         assert texts(text) == ["Trailing backslash here.", "Then it ends \\"]
+
+    def test_a_backslash_pair_spends_only_its_backslash(self):
+        text = "We stop right here \\. Next we add the two numbers."
+        assert texts(text) == ["We stop right here \\.", "Next we add the two numbers."]
+
+    def test_a_marker_period_can_end_a_sentence(self):
+        text = "Do it now. Step 3. Next we add."
+        assert texts(text, min_step_chars=0) == ["Do it now.", "Step 3.", "Next we add."]
 
 
 class TestFragments:

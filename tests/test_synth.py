@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import reference_fine_steps
+from stepfim import synth
 from stepfim.similarity import similarity
 from stepfim.synth import (
     ANSWER_TEMPLATE,
@@ -230,3 +232,20 @@ class TestOracleFill:
         for _ in range(2):
             with pytest.raises(UnparsableQuestion):
                 oracle_fill("What is love?", ["a"], ["b"])
+
+    def test_a_parse_that_raised_is_not_kept(self, monkeypatch):
+        parses = []
+
+        def failing_once(question):
+            parses.append(question)
+            if len(parses) == 1:
+                raise UnparsableQuestion("failed once")
+            return fine_steps_for_question(question)
+
+        monkeypatch.setattr(synth, "_last_parse", threading.local())
+        monkeypatch.setattr(synth, "fine_steps_for_question", failing_once)
+        with pytest.raises(UnparsableQuestion):
+            oracle_fill(HAND_QUESTION, HAND_FINE[:1], HAND_FINE[2:])
+        for _ in range(2):
+            assert oracle_fill(HAND_QUESTION, HAND_FINE[:1], HAND_FINE[2:]) == HAND_FINE[1]
+        assert parses == [HAND_QUESTION] * 2
