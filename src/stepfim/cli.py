@@ -224,12 +224,15 @@ def _same_file(a: str, b: str) -> bool:
 
 
 def _check_distinct_paths(cfg: dict[str, Any]) -> None:
-    """Refuse a run whose input, output, report or rejects paths name one file:
-    opening the output first would empty the input before it is read."""
-    paths = [(key, cfg[key]) for key in ("input", "output", "report", "rejects") if cfg.get(key)]
+    """Refuse a run that writes a file it also reads or writes under another flag:
+    opening the output first would empty the input before it is read, or lose
+    the replay fixture or the config file."""
+    read, written = ("input", "config", "fixture_path"), ("output", "report", "rejects")
+    paths = [(key, cfg[key]) for key in read + written if cfg.get(key)]
     for (key_a, a), (key_b, b) in itertools.combinations(paths, 2):
-        if _same_file(a, b):
-            raise UsageError(f"--{key_a} {a} and --{key_b} {b} name one file")
+        if key_b in written and _same_file(a, b):
+            flag_a, flag_b = key_a.replace("_", "-"), key_b.replace("_", "-")
+            raise UsageError(f"--{flag_a} {a} and --{flag_b} {b} name one file")
 
 
 def _fields_of(config_class: type, cfg: dict[str, Any]) -> dict[str, Any]:
@@ -454,7 +457,7 @@ def main(argv: list[str] | None = None) -> int:
             command.set_defaults(**_load_config_file(args.config, command))
             args = parser.parse_args(argv)
         cfg = effective_config(args.cmd, args)
-        _check_distinct_paths(cfg)
+        _check_distinct_paths({"config": args.config, **cfg})
         _note(json.dumps({"subcommand": args.cmd, "config": cfg}, ensure_ascii=False))
         return HANDLERS[args.cmd](cfg)
     except BackendUnreachable as exc:

@@ -29,24 +29,22 @@ ABBREVIATIONS = frozenset(
     }
 )
 
-# One token each: a math opener; a backslash pair whose second character
-# would open or escape (\$ and \\ stay plain text); a sentence end that may
-# break: ./!/? before a space and an ASCII capital, a marker word (ASCII case
-# folding only, so neither "ſ" nor the Kelvin sign stands in for a letter) or
-# a non-ASCII character, which breaks only when it is upper case; or a step
-# marker, led by its space. A sentence end consumes only its ./!/?, so its
-# space can lead a marker, and a marker stops before its :/., which can end
-# a sentence. Any other backslash is no token, so "\." can end a sentence.
-_TOKEN_RE = re.compile(
-    r"\\begin\{|\\[(\[$\\]|\$\$?"
-    r"|[.!?](?= (?:[A-Z]|(?ai:%s)(?![A-Za-z])|[^\x00-\x7f]))"
-    r"| Step \d+(?=[:.])" % "|".join(sorted(MARKER_WORDS))
-)
-# the letter before the period of each abbreviation
-_ABBREVIATION_ENDS = frozenset(abbreviation[-2] for abbreviation in ABBREVIATIONS)
+# A sentence end that may break, one regex per mark so that each search is led
+# by a literal: the mark before a space and an ASCII capital, a marker word (ASCII
+# case folding only, so neither "ſ" nor the Kelvin sign stands in for a letter)
+# or a non-ASCII character, which breaks only when it is upper case. A step
+# marker is led by its space and stops before its :/., which can end a sentence.
+_SENTENCE_END_RES = [
+    re.compile(re.escape(mark) + r"(?= (?:[A-Z]|(?ai:%s)(?![A-Za-z])|[^\x00-\x7f]))"
+               % "|".join(sorted(MARKER_WORDS))) for mark in ".!?"
+]
+_STEP_MARKER_RE = re.compile(r" Step \d+(?=[:.])")
+# the last three characters of each abbreviation, a cheap test before _word_before
+_ABBREVIATION_TAILS = frozenset(abbreviation[-3:] for abbreviation in ABBREVIATIONS)
 _PUNCT_ONLY_RE = re.compile(r"[\W_]+$")
 _ENV_TAG_RE = re.compile(r"\\(begin|end)\{")
-_DOLLAR_CLOSE_RE = re.compile(r"(?<!\\)\$")
+# a "$" that no backslash precedes, led by the "$" so that the search is fast
+_DOLLAR_CLOSE_RE = re.compile(r"\$(?<!\\\$)")
 _CLOSERS = {"$$": "$$", "\\(": "\\)", "\\[": "\\]"}
 
 
@@ -63,7 +61,15 @@ class NonTextSolution(ValueError):
 
 
 def normalize_ws(text: str) -> str:
-    """Collapse whitespace runs to single spaces and trim the ends."""
+    """Collapse whitespace runs to single spaces and trim the ends.
+
+    Every whitespace character but the ASCII space is unprintable, so text that
+    is printable once its newlines are spaces, with no double, leading or
+    trailing space, is already normalized and is not split and joined again.
+    """
+    flat = text.replace("\n", " ")
+    if flat.isprintable() and "  " not in flat and flat[:1] != " " and flat[-1:] != " ":
+        return flat
     return " ".join(text.split())
 
 
@@ -147,52 +153,74 @@ def _word_before(text: str, period_pos: int) -> str:
     return token.lstrip("([{")
 
 
-def _step_starts(text: str) -> list[int]:
-    """Positions in `text` where a new step starts, in increasing order.
+def _mask_math(text: str) -> str:
+    """`text` with each math span overwritten by "#"; UnbalancedMath when one is never closed.
 
-    One left-to-right search of `_TOKEN_RE`. A math span ($...$, $$...$$,
-    \\(...\\), \\[...\\] or \\begin{ENV}...\\end{ENV}, nesting allowed) is
-    skipped whole: its closer is found with `str.find`, with a search for a
-    `$` that no backslash precedes, or by walking the \\begin/\\end tags, so
-    nothing inside it starts a step. Raises UnbalancedMath when an opener is
-    never closed. Python drops only a sentence end whose next character is
-    non-ASCII and not upper case, and a period that ends an abbreviation,
-    and a marker at the start a sentence end already gave. Each start is
-    preceded by exactly one space (the text is whitespace-normalized), so
-    slicing at starts and rstripping loses only that separator space.
+    `str.find` walks from each "$" or backslash to the next. A span ($...$,
+    $$...$$, \\(...\\), \\[...\\] or \\begin{ENV}...\\end{ENV}, nesting allowed)
+    is skipped whole: its closer is found with `str.find`, with a search for a
+    `$` that no backslash precedes, or by walking the \\begin/\\end tags.
     """
-    starts: list[int] = []
-    pos = 0
-    while (token := _TOKEN_RE.search(text, pos)) is not None:
-        start, kind = token.start(), token.group()
-        pos = token.end()
-        if kind[0] == " ":  # a step marker
-            if not starts or starts[-1] != start + 1:
-                starts.append(start + 1)
-        elif kind in ".!?":  # a sentence end
-            nxt = text[start + 2]
-            if nxt >= "\x80" and not nxt.isupper():
-                continue
-            # decimals like 3.5 carry no space after the period, so they never
-            # match; abbreviations do and are skipped explicitly
-            if (kind == "." and text[start - 1] in _ABBREVIATION_ENDS
-                    and _word_before(text, start) in ABBREVIATIONS):
-                continue
-            starts.append(start + 2)
-        elif kind in _CLOSERS:
-            close = text.find(_CLOSERS[kind], pos)
+    pieces: list[str] = []
+    prev = pos = 0
+    dollar = -1  # the first "$" at or after pos, or len(text) when there is none
+    while True:
+        if dollar < pos:
+            dollar = text.find("$", pos)
+            if dollar < 0:
+                dollar = len(text)
+        start = text.find("\\", pos, dollar)
+        if start < 0:
+            if dollar == len(text):
+                break
+            start = dollar
+        kind = text[start : start + 2]
+        if kind in _CLOSERS:
+            close = text.find(_CLOSERS[kind], start + 2)
             if close < 0:
                 raise UnbalancedMath(f"unclosed {kind} at offset {start}")
             pos = close + 2
-        elif kind == "$":
-            close = _DOLLAR_CLOSE_RE.search(text, pos)
+        elif kind[0] == "$":
+            close = _DOLLAR_CLOSE_RE.search(text, start + 1)
             if close is None:
                 raise UnbalancedMath(f"unclosed $ at offset {start}")
             pos = close.end()
-        elif kind == "\\begin{":
+        elif text.startswith("\\begin{", start):
             pos = _env_end(text, start)
-        # else an escaped "$" or backslash: plain text
-    return starts
+        else:  # plain text; \$ and \\ escape, so they spend both their characters
+            pos = start + (2 if kind in ("\\$", "\\\\") else 1)
+            continue
+        pieces += (text[prev:start], "#" * (pos - start))
+        prev = pos
+    return "".join(pieces) + text[prev:] if pieces else text
+
+
+def _step_starts(text: str) -> list[int]:
+    """Positions in `text` where a new step starts, in increasing order.
+
+    Two passes. `_mask_math` overwrites each math span with "#", which no
+    token can start on, look ahead to or take as a letter or digit, and
+    raises UnbalancedMath for an opener that is never closed. On that copy,
+    one literal-led regex per sentence mark finds the ends that may break
+    and another the step markers. Python drops a sentence end whose next
+    character is non-ASCII and not upper case or that closes an abbreviation,
+    and a marker at a start a sentence end gave. Each start follows exactly
+    one space (the text is whitespace-normalized), which the split drops.
+    """
+    masked = _mask_math(text)
+    ascii_only = masked.isascii()
+    starts = [marker.start() + 1 for marker in _STEP_MARKER_RE.finditer(masked)]
+    for end_re in _SENTENCE_END_RES:
+        for end in end_re.finditer(masked):
+            p = end.start()
+            if not ascii_only and masked[p + 2] >= "\x80" and not masked[p + 2].isupper():
+                continue
+            # decimals like 3.5 carry no space after the period, so they never
+            # match; abbreviations do and are skipped explicitly
+            if masked[p - 2 : p + 1] in _ABBREVIATION_TAILS and _word_before(masked, p) in ABBREVIATIONS:
+                continue
+            starts.append(p + 2)
+    return sorted(set(starts))
 
 
 def _merge_fragments(segments: list[str], min_chars: int) -> list[str]:
@@ -208,7 +236,8 @@ def _merge_fragments(segments: list[str], min_chars: int) -> list[str]:
     """
 
     def small(seg: str) -> bool:
-        return len(seg) < min_chars or _PUNCT_ONLY_RE.fullmatch(seg) is not None
+        # a segment that opens with a letter or digit is not punctuation only
+        return len(seg) < min_chars or not seg[0].isalnum() and _PUNCT_ONLY_RE.fullmatch(seg) is not None
 
     merged: list[str] = []
     first_small = False  # the first step is kept and still small
@@ -250,14 +279,9 @@ def decompose(solution: str, config: DecomposeConfig | None = None) -> StepChain
     if _PUNCT_ONLY_RE.fullmatch(text):
         raise EmptySolution("solution contains no step content")
 
-    segments: list[str] = []
-    prev = 0
-    for b in _step_starts(text) + [len(text)]:
-        seg = text[prev:b].rstrip()
-        if seg:
-            segments.append(seg)
-        prev = b
-
+    starts = _step_starts(text)
+    # each start follows one space and no two are adjacent, so no slice is empty
+    segments = [text[a : b - 1] for a, b in zip([0, *starts], [*starts, len(text) + 1])]
     segments = _merge_fragments(segments, config.min_step_chars)
     return StepChain.from_texts(segments)
 

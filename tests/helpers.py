@@ -10,10 +10,11 @@ independent arithmetic.
 The splitter reference keeps, verbatim, the character-at-a-time
 math-span scanner, the per-candidate break checks with the three regexes
 they used, and the carry-based fragment merge that `stepfim.decompose`
-replaced with one left-to-right token search that skips math spans whole
-and a single merge pass. `reference_decompose` runs `decompose` with them,
-so the one scan is checked against the walking scanner and break finder
-on step starts, chains and error messages.
+replaced with a `str.find` walk that masks math spans, regex searches of
+the masked text and a single merge pass. `reference_decompose` runs
+`decompose` with them, so the two passes are checked against the walking
+scanner and break finder on masked spans, step starts, chains and error
+messages.
 
 The question reader reference keeps, verbatim, the recursive-descent
 parser and the recursive post-order walk that `stepfim.synth` replaced

@@ -944,11 +944,20 @@ class TestExitCodesAndConfig:
             (["decompose", "--output", "{d}/out.jsonl", "--rejects", "{d}/sub/../out.jsonl"],
              ("output", "rejects")),
             (["stats", "--output", "{d}/in.jsonl"], ("input", "output")),
+            # a file the run reads but not as its input: the replay fixture and the config
+            (["expand", "--backend", "replay", "--fixture-path", "{d}/fix.jsonl",
+              "--output", "{d}/fix.jsonl"], ("fixture-path", "output")),
+            (["expand", "--backend", "replay", "--fixture-path", "{d}/fix.jsonl",
+              "--output", "{d}/out.jsonl", "--report", "{d}/fix.jsonl"], ("fixture-path", "report")),
+            (["stats", "--config", "{d}/cfg.json", "--output", "{d}/cfg.json"], ("config", "output")),
         ],
     )
     def test_two_paths_that_name_one_file_exit_one(self, synth_dir, tmp_path, argv, flags):
-        inp = tmp_path / "in.jsonl"
-        inp.write_bytes((synth_dir / "coarse.jsonl").read_bytes())
+        coarse = (synth_dir / "coarse.jsonl").read_bytes()
+        inp, fixture, config = tmp_path / "in.jsonl", tmp_path / "fix.jsonl", tmp_path / "cfg.json"
+        inp.write_bytes(coarse)
+        fixture.write_bytes(coarse)
+        config.write_text("{}", encoding="utf-8")
         (tmp_path / "link.jsonl").symlink_to(inp)
         (tmp_path / "sub").mkdir()
         result = run_cli(*(arg.format(d=tmp_path) for arg in argv), "--input", str(inp))
@@ -956,7 +965,8 @@ class TestExitCodesAndConfig:
         assert "Traceback" not in result.stderr
         assert f"error: --{flags[0]} " in result.stderr
         assert f" and --{flags[1]} " in result.stderr and "name one file" in result.stderr
-        assert inp.read_bytes() == (synth_dir / "coarse.jsonl").read_bytes()
+        assert inp.read_bytes() == fixture.read_bytes() == coarse
+        assert config.read_text(encoding="utf-8") == "{}"
         assert not (tmp_path / "out.jsonl").exists()
 
     @pytest.mark.parametrize("cmd", ["decompose", "build-fim", "expand", "stats"])

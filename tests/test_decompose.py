@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import random
+import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     _find_breaks as reference_breaks,
@@ -18,6 +20,7 @@ from stepfim.decompose import (
     NonTextSolution,
     StepChain,
     UnbalancedMath,
+    _mask_math,
     _step_starts,
     decompose,
     join,
@@ -157,6 +160,9 @@ _MATH_ATOMS = [
     # backslash pairs that neither open nor escape, a NUL, and a marker whose period
     # ends a sentence
     "\\.", "\\ ", "\\!", "\0", " Step 3. Next",
+    # the filler math spans are masked with, abbreviations by their last three
+    # characters, and whitespace that is not the ASCII space, or a run of it
+    "#", "Mrs.", "Eq.", "fig.", "(Prof.", "\t", "\xa0", "\u2028", "   ",
 ]
 
 
@@ -168,15 +174,28 @@ def _outcome(split, text):
         return type(exc), str(exc)
 
 
-class TestMatchesWalkingSplitter:
-    """The one-scan splitter against the character-walking reference in helpers."""
+def _masked(text, spans):
+    """`text` with each span overwritten by "#", one character for one."""
+    for start, end in spans:
+        text = text[:start] + "#" * (end - start) + text[end:]
+    return text
 
-    @settings(max_examples=1500)
+
+# STEPFIM_SLOW_TESTS=1 (a CI step of its own) checks the splitter on many more texts
+_SPLITTER_EXAMPLES = 20_000 if os.environ.get("STEPFIM_SLOW_TESTS") == "1" else 1500
+
+
+class TestMatchesWalkingSplitter:
+    """The two-pass splitter against the character-walking reference in helpers."""
+
+    @settings(max_examples=_SPLITTER_EXAMPLES)
     @given(
         st.lists(st.sampled_from(_MATH_ATOMS), max_size=40).map("".join),
         st.sampled_from([0, 3, 10, 30]),
     )
     def test_spans_breaks_and_chains_match_the_reference(self, text, min_step_chars):
+        masked = _outcome(_mask_math, text)
+        assert masked == _outcome(lambda t: _masked(t, reference_spans(t)), text)
         starts = _outcome(_step_starts, text)
         assert starts == _outcome(lambda t: reference_breaks(t, reference_spans(t)), text)
         config = DecomposeConfig(min_step_chars=min_step_chars)
@@ -278,6 +297,22 @@ def _build_solution(rng: random.Random) -> str:
             template.format(a=rng.randint(2, 99), b=rng.randint(2, 99), c=rng.randint(2, 9999), n=i + 1)
         )
     return " ".join(parts)
+
+
+# every character Python splits on, the ASCII space and newline among them
+_WHITESPACE = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+
+
+class TestNormalizeWs:
+    @given(st.text(st.characters() | st.sampled_from(_WHITESPACE)))
+    @example("a\nb")
+    @example(" a")
+    @example("a\n")
+    @example("a  b")
+    @example("a\n b")
+    @example("a\tb")
+    def test_matches_split_and_join(self, text):
+        assert normalize_ws(text) == " ".join(text.split())
 
 
 class TestRoundTrip:

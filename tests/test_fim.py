@@ -65,6 +65,21 @@ class TestSerialization:
         with pytest.raises(SpecialTokenCollision):
             format_psm(values["question"], values["prefix"], values["suffix"], values["middle"])
 
+    @pytest.mark.parametrize(
+        "question, steps, named",
+        [
+            (f"Q{FIM_PREFIX}?", ("a", "b"), "question"),
+            ("Q?", ("a", f"b {FIM_MIDDLE}", FIM_SUFFIX), "step 1"),
+            ("Q?", ("a", "b", f"c{FIM_SUFFIX}"), "step 2"),
+        ],
+    )
+    def test_check_chain_names_the_first_field_with_a_token(self, question, steps, named):
+        with pytest.raises(SpecialTokenCollision, match=f"^{named} contains a FIM special token$"):
+            fim.check_chain(question, steps)
+
+    def test_a_token_cut_by_the_step_separator_is_in_no_field(self):
+        fim.check_chain("Q?" + FIM_PREFIX[:5], (FIM_PREFIX[5:], "<|fim_", "middle|>"))
+
 
 class TestParsing:
     def test_parse_inverts_format(self):
