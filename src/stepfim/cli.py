@@ -226,8 +226,9 @@ def _same_file(a: str, b: str) -> bool:
 def _check_distinct_paths(cfg: dict[str, Any]) -> None:
     """Refuse a run that writes a file it also reads or writes under another flag:
     opening the output first would empty the input before it is read, or lose
-    the replay fixture or the config file."""
-    read, written = ("input", "config", "fixture_path"), ("output", "report", "rejects")
+    the replay fixture, the config file or a stats file `compare` reads."""
+    read = ("input", "config", "fixture_path", "before", "after")
+    written = ("output", "report", "rejects")
     paths = [(key, cfg[key]) for key in read + written if cfg.get(key)]
     for (key_a, a), (key_b, b) in itertools.combinations(paths, 2):
         if key_b in written and _same_file(a, b):

@@ -68,7 +68,8 @@ def normalize_ws(text: str) -> str:
     trailing space, is already normalized and is not split and joined again.
     """
     flat = text.replace("\n", " ")
-    if flat.isprintable() and "  " not in flat and flat[:1] != " " and flat[-1:] != " ":
+    # cheapest first: a paragraph break fails the "  " search at its first occurrence
+    if flat[:1] != " " and flat[-1:] != " " and "  " not in flat and flat.isprintable():
         return flat
     return " ".join(text.split())
 

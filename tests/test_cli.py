@@ -950,6 +950,11 @@ class TestExitCodesAndConfig:
             (["expand", "--backend", "replay", "--fixture-path", "{d}/fix.jsonl",
               "--output", "{d}/out.jsonl", "--report", "{d}/fix.jsonl"], ("fixture-path", "report")),
             (["stats", "--config", "{d}/cfg.json", "--output", "{d}/cfg.json"], ("config", "output")),
+            # compare has no --input: its stats files are what it reads
+            (["compare", "--before", "{d}/cfg.json", "--after", "{d}/cfg.json", "--output", "{d}/cfg.json"],
+             ("before", "output")),
+            (["compare", "--before", "{d}/cfg.json", "--after", "{d}/fix.jsonl", "--output", "{d}/fix.jsonl"],
+             ("after", "output")),
         ],
     )
     def test_two_paths_that_name_one_file_exit_one(self, synth_dir, tmp_path, argv, flags):
@@ -960,7 +965,8 @@ class TestExitCodesAndConfig:
         config.write_text("{}", encoding="utf-8")
         (tmp_path / "link.jsonl").symlink_to(inp)
         (tmp_path / "sub").mkdir()
-        result = run_cli(*(arg.format(d=tmp_path) for arg in argv), "--input", str(inp))
+        inp_args = [] if argv[0] == "compare" else ["--input", str(inp)]
+        result = run_cli(*(arg.format(d=tmp_path) for arg in argv), *inp_args)
         assert result.returncode == 1, result.stderr
         assert "Traceback" not in result.stderr
         assert f"error: --{flags[0]} " in result.stderr
