@@ -8,7 +8,8 @@ override built-in defaults.
 
 Exit codes: 0 success, 1 usage or config error, 2 I/O or data error,
 3 expansion backend unreachable (or every gap an expand run tried ended
-in backend_error).
+in backend_error, or an http expand stopped once 8 records in a row,
+FAILING_RECORDS, had every gap they tried end in backend_error).
 """
 
 from __future__ import annotations
@@ -31,6 +32,11 @@ from stepfim.fim import SamplerConfig, sample_fim, samples_jsonl
 from stepfim.jsonl import JsonlError, dumps_line, has_lone_surrogate, read_jsonl
 from stepfim.stats import CorpusStats, EmptyCorpus, MalformedRecord, diff_stats, stats
 from stepfim.synth import DROP_PATTERNS, CorpusSpec, generate
+
+
+# an http expand stops when this many records in a row, in output order, had
+# every gap they tried end in backend_error: the endpoint has gone bad
+FAILING_RECORDS = 8
 
 
 class UsageError(ValueError):
@@ -345,6 +351,7 @@ def cmd_expand(cfg: dict[str, Any]) -> int:
     counts = {"records": 0, "failed_records": 0, "inserted": 0, "invalid": 0,
               "malformed": 0, "errored": 0}
     ids: Counter = Counter()
+    failing = 0  # the last records in a row that tried gaps and had every one error
     started = time.perf_counter()
     results = expand_records(read_jsonl(cfg["input"]), backend, econf)
     report_handle = _open_out(cfg["report"]) if cfg["report"] else None
@@ -362,6 +369,13 @@ def cmd_expand(cfg: dict[str, Any]) -> int:
                         counts[key] += getattr(report, key)
                     if report_handle is not None:
                         report_handle.write(dumps_line(report.to_dict()))
+                if bconf.kind == "http":
+                    attempted = sum(report.attempted for report in reports)
+                    if attempted:  # a record that tried no gap changes nothing
+                        errored = sum(report.errored for report in reports)
+                        failing = failing + 1 if errored == attempted else 0
+                    if failing == FAILING_RECORDS:
+                        break
     finally:
         results.close()  # waits for running fills, so no connection is in use below
         getattr(backend, "close", lambda: None)()
@@ -376,6 +390,10 @@ def cmd_expand(cfg: dict[str, Any]) -> int:
             **counts
         )
     )
+    if failing == FAILING_RECORDS:
+        _note(f"error: endpoint failing: {FAILING_RECORDS} records in a row had every gap end "
+              "in backend_error")
+        return 3
     if counts["errored"] and not (counts["inserted"] or counts["invalid"] or counts["malformed"]):
         _note(f"error: every gap ended in backend_error ({counts['errored']} attempted)")
         # an in-process backend fails only on its data, never on a connection

@@ -239,15 +239,13 @@ def sample_fim(
     (seed, source_id, round), so output is identical no matter how the
     corpus is ordered or sharded.
 
-    Round 0 holds the question and every step, and no special token spans
-    the newline between steps, so `format_psm` on round 0 alone checks the
-    chain, naming middle, question, prefix or suffix, the first that has one.
+    A chain that holds a special token is refused before any draw, naming
+    the question or step N as `expand` does (`check_chain`), at any seed.
     """
     steps = chain.texts
+    check_chain(question, steps)
     samples = []
     for r in range(config.rounds):
         i = random.Random(_round_key(config.seed, source_id, r)).randrange(len(steps))
         samples.append(FimSample(source_id, r, i, question, steps))
-    first = samples[0]
-    format_psm(question, first.prefix, first.suffix, first.middle)
     return samples

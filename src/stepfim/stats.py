@@ -9,10 +9,10 @@ under the same tokenizer_id, so diffs across schemes are refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Iterable
 
-from stepfim.decompose import STEP_SEPARATOR
+from stepfim.decompose import STEP_SEPARATOR, normalize_ws
 
 #: How `stats` counts tokens: words between whitespace.
 TOKENIZER_ID = "whitespace"
@@ -39,13 +39,7 @@ class CorpusStats:
     tokenizer_id: str
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "samples": self.samples,
-            "avg_tokens": self.avg_tokens,
-            "total_tokens": self.total_tokens,
-            "avg_steps": self.avg_steps,
-            "tokenizer_id": self.tokenizer_id,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, row: dict[str, Any]) -> "CorpusStats":
@@ -90,14 +84,7 @@ class StatsDelta:
         }
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "samples_pct": self.samples_pct,
-            "avg_tokens_pct": self.avg_tokens_pct,
-            "total_tokens_pct": self.total_tokens_pct,
-            "avg_steps_pct": self.avg_steps_pct,
-            "tokenizer_id": self.tokenizer_id,
-            "formatted": self.formatted(),
-        }
+        return {**asdict(self), "formatted": self.formatted()}
 
 
 def stats(records: Iterable[dict[str, Any]]) -> CorpusStats:
@@ -120,7 +107,8 @@ def stats(records: Iterable[dict[str, Any]]) -> CorpusStats:
             raise MalformedRecord(f"record {samples + 1}: steps must all be strings: {exc}") from exc
         samples += 1
         total_steps += len(steps)
-        total_tokens += len(text.split())
+        flat = normalize_ws(text)  # single spaces between words, none at the ends
+        total_tokens += flat.count(" ") + 1 if flat else 0
     if samples == 0:
         raise EmptyCorpus("no records to summarize")
     return CorpusStats(

@@ -22,11 +22,11 @@ with one left-to-right loop over a stack. `reference_fine_steps` reads a
 question with them, so the loop is checked against the tree on steps and
 error messages.
 
-The sampler reference keeps, verbatim, the per-round `sample_fim` that
-joined each round's prefix, suffix and serialized text and checked every
-round's fields for special tokens, before samples came to store only their
-draw and the chain came to be checked once. `reference_sample_fim` returns
-each sample's `to_dict()`, so the stored draw is checked against the
+The sampler reference keeps, verbatim, the per-round strings of the
+`sample_fim` that joined each round's prefix, suffix and serialized text,
+before samples came to store only their draw. Like `sample_fim`, it first
+checks the chain for special tokens with `check_chain`. `reference_sample_fim`
+returns each sample's `to_dict()`, so the stored draw is checked against the
 strings it stands for, and on error types and messages.
 """
 
@@ -40,6 +40,7 @@ import re
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Callable
 from unittest import mock
 
 import numpy as np
@@ -53,7 +54,7 @@ from stepfim.decompose import (
     UnbalancedMath,
     _word_before,
 )
-from stepfim.fim import _round_key, format_psm
+from stepfim.fim import _round_key, check_chain, format_psm
 from stepfim.synth import (
     ALLOWED_OPERATORS,
     ANSWER_TEMPLATE,
@@ -357,6 +358,7 @@ def reference_fine_steps(question: str) -> list[str]:
 
 def reference_sample_fim(chain, question, config, source_id=""):
     """`config.rounds` FIM samples of one chain, as `to_dict()` rows."""
+    check_chain(question, chain.texts)
     texts = chain.texts
     n = len(texts)
     samples = []
@@ -398,7 +400,7 @@ class _StubHandler(BaseHTTPRequestHandler):
                 "client_address": self.client_address,
             })
         script = self.server.script
-        status, payload = script[min(index, len(script) - 1)]
+        status, payload = script(body) if callable(script) else script[min(index, len(script) - 1)]
         data = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -430,7 +432,9 @@ class _KeepAliveStubHandler(_StubHandler):
 class StubCompletionServer:
     """Local HTTP server that replays a scripted list of (status, payload).
 
-    The last script entry repeats for any further requests. `seen` holds
+    The last script entry repeats for any further requests. A script that
+    is a function instead answers each request with what it returns for
+    the parsed body, whatever order requests arrive in. `seen` holds
     one entry per request: path, parsed body, headers and the client's
     (host, port), which names the connection the request came on. By
     default every response closes its connection (HTTP/1.0); with
@@ -438,7 +442,8 @@ class StubCompletionServer:
     the client closes them or `drop_connections` does.
     """
 
-    def __init__(self, script: list[tuple[int, object]], keep_alive: bool = False):
+    def __init__(self, script: list[tuple[int, object]] | Callable[[object], tuple[int, object]],
+                 keep_alive: bool = False):
         handler = _KeepAliveStubHandler if keep_alive else _StubHandler
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
         self._server.script = script

@@ -292,6 +292,29 @@ class TestBuildFim:
         assert {sample["source_id"] for sample in _read_jsonl(out)} == {"c0"}
 
 
+    @pytest.mark.parametrize("field", ["question", 0, 2, 4])
+    @pytest.mark.parametrize("seed", [1, 2, 5])
+    def test_a_special_token_is_named_as_expand_names_it_at_any_seed(self, tmp_path, capsys,
+                                                                     field, seed):
+        row = {"id": "t", "question": "What is 2 + 3?",
+               "steps": ["Add 2 and 3.", "That gives 5.", "Write it down.", "Check it.", "Done."]}
+        if field == "question":
+            row["question"] += " <|fim_suffix|>"
+        else:
+            row["steps"][field] += " <|fim_prefix|>"
+        inp, out, report = tmp_path / "in.jsonl", tmp_path / "out.jsonl", tmp_path / "report.jsonl"
+        _write_jsonl(inp, [row])
+        assert cli.main(["build-fim", "--input", str(inp), "--output", str(out),
+                         "--seed", str(seed)]) == 0
+        skipped = capsys.readouterr().err.splitlines()[1]
+        assert cli.main(["expand", "--input", str(inp), "--output", str(out), "--report",
+                         str(report), "--backend", "oracle"]) == 0
+        (line,) = _read_jsonl(report)[1:]
+        reason = line["error"].removeprefix("SpecialTokenCollision: ")
+        assert reason == ("question" if field == "question" else f"step {field}") + \
+            " contains a FIM special token"
+        assert skipped == f"build-fim: skipping record 't': {reason}"
+
     def test_repeated_ids_are_counted_on_the_summary_line(self, tmp_path, capsys):
         inp, out = tmp_path / "chains.jsonl", tmp_path / "fim.jsonl"
         argv = ["build-fim", "--input", str(inp), "--output", str(out), "--seed", "7"]
@@ -474,6 +497,60 @@ class TestExpand:
         assert "1 errored" in result.stderr and "error:" not in result.stderr
         (line,) = _read_jsonl(report)[1:]
         assert sorted(p["decision"] for p in line["proposals"]) == ["backend_error", "valid"]
+
+    @staticmethod
+    def _by_content(body):
+        """A 503 for a record whose question says so, whichever request comes first."""
+        if "fails" in body["prompt"]:
+            return 503, {"error": "overloaded"}
+        return 200, {"completion": "Write down both numbers."}
+
+    @staticmethod
+    def _record(n, kind):
+        steps = ["Add 2 and 3.", "That gives 5.", "The answer is 5."]
+        return {"id": f"r{n}", "question": f"Record {n} {kind}?",
+                "steps": steps[:1] if kind == "one-step" else steps}
+
+    def test_an_endpoint_failing_eight_records_in_a_row_stops_the_run(self, tmp_path):
+        # neither a record with one step nor one with a special token tries a gap,
+        # so they do not break the run of failing records: the 8th is record 16
+        kinds = (["works"] * 3 + ["fails"] * 3 + ["works"] + ["fails"] * 4
+                 + ["one-step", "<|fim_middle|>"] + ["fails"] * 4 + ["works", "fails"] * 12)
+        inp = tmp_path / "in.jsonl"
+        _write_jsonl(inp, [self._record(n, kind) for n, kind in enumerate(kinds)])
+        runs = {}
+        for mif in (1, 4):
+            out, report = tmp_path / f"out{mif}.jsonl", tmp_path / f"report{mif}.jsonl"
+            with StubCompletionServer(self._by_content, keep_alive=True) as server:
+                result = run_cli(
+                    "expand", "--input", str(inp), "--output", str(out), "--report", str(report),
+                    "--backend", "http", "--endpoint-url", server.url, "--max-in-flight", str(mif),
+                    "--retry-limit", "0", "--backoff-ms", "0",
+                )
+                posted = {int(seen["body"]["prompt"].split()[1]) for seen in server.seen}
+            assert result.returncode == 3, result.stderr
+            assert "Traceback" not in result.stderr
+            summary, error = result.stderr.splitlines()[-2:]
+            assert summary.startswith("expand: 17 records (1 failed), 8 inserted / 0 invalid / "
+                                      "0 malformed / 22 errored")
+            assert error == ("error: endpoint failing: 8 records in a row had every gap end "
+                             "in backend_error")
+            # the records read ahead of the trip are the last ones sent
+            assert max(posted) <= 16 + 4 * mif
+            runs[mif] = out.read_bytes(), report.read_text(encoding="utf-8").splitlines()[1:]
+        assert runs[1] == runs[4]
+        assert [row["id"] for row in _read_jsonl(tmp_path / "out1.jsonl")] == [f"r{n}" for n in range(17)]
+
+    def test_fewer_failing_records_in_a_row_exit_zero(self, tmp_path):
+        kinds = ["works", "fails", "works"] + ["fails"] * 7 + ["works"]
+        inp, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        _write_jsonl(inp, [self._record(n, kind) for n, kind in enumerate(kinds)])
+        with StubCompletionServer(self._by_content, keep_alive=True) as server:
+            result = run_cli("expand", "--input", str(inp), "--output", str(out), "--backend",
+                             "http", "--endpoint-url", server.url, "--retry-limit", "0")
+        assert result.returncode == 0, result.stderr
+        assert "11 records (0 failed), 6 inserted / 0 invalid / 0 malformed / 16 errored" in result.stderr
+        assert "error:" not in result.stderr
 
     def test_workers_keep_one_connection_each(self, tmp_path, capsys):
         inp, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"

@@ -216,10 +216,12 @@ class TestSampling:
         assert sample.steps is chain.texts
 
     def test_the_chain_is_serialized_and_checked_once_whatever_the_rounds(self):
-        with mock.patch.object(fim, "format_psm", wraps=fim.format_psm) as spy:
+        with mock.patch.object(fim, "check_chain", wraps=fim.check_chain) as spy, \
+                mock.patch.object(fim, "format_psm", wraps=fim.format_psm) as psm:
             samples = sample_fim(self._chain(), "Q?", SamplerConfig(rounds=8, seed=6), "r")
         assert len(samples) == 8
-        assert spy.call_count == 1
+        spy.assert_called_once_with("Q?", self._chain().texts)
+        assert psm.call_count == 0
 
     @pytest.mark.parametrize("rounds", [0, -1])
     def test_rounds_must_be_positive(self, rounds):

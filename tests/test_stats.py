@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from stepfim.stats import (
     CorpusStats,
@@ -18,6 +20,10 @@ from stepfim.stats import (
 
 def _row(steps, rid="r"):
     return {"id": rid, "question": "irrelevant to token counts?", "steps": steps}
+
+
+# every character `str.split()` splits at
+WHITESPACE = [ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace()]
 
 
 class TestStats:
@@ -62,6 +68,12 @@ class TestStats:
         assert result.avg_tokens == expected_tokens / 200
         assert result.avg_steps == expected_steps / 200
 
+    @given(st.lists(st.lists(st.text(st.sampled_from(WHITESPACE) | st.characters(), max_size=12)),
+                    min_size=1, max_size=4))
+    def test_tokens_are_the_words_str_split_finds(self, chains):
+        result = stats([_row(steps) for steps in chains])
+        assert result.total_tokens == sum(len("\n".join(steps).split()) for steps in chains)
+
     def test_record_order_does_not_matter(self):
         records = [_row(["a b c"], "r0"), _row(["d"], "r1"), _row(["e f", "g"], "r2")]
         assert stats(records) == stats(list(reversed(records)))
@@ -75,6 +87,8 @@ class TestStats:
 
     def test_round_trips_through_a_plain_dict(self):
         result = stats([_row(["a b"]), _row(["c"])])
+        assert list(result.to_dict()) == ["samples", "avg_tokens", "total_tokens", "avg_steps",
+                                          "tokenizer_id"]
         assert CorpusStats.from_dict(result.to_dict()) == result
 
 
@@ -138,6 +152,8 @@ class TestDeltas:
         before = CorpusStats(2, 10.0, 20, 2.0, "whitespace")
         after = CorpusStats(2, 12.0, 24, 2.5, "whitespace")
         row = diff_stats(before, after).to_dict()
+        assert list(row) == ["samples_pct", "avg_tokens_pct", "total_tokens_pct", "avg_steps_pct",
+                             "tokenizer_id", "formatted"]
         assert row["avg_steps_pct"] == 25.0
         assert row["formatted"]["avg_steps"] == "+25.00%"
         assert row["tokenizer_id"] == "whitespace"
