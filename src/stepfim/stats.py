@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Any, Iterable
 
-from stepfim.decompose import STEP_SEPARATOR, normalize_ws
+from stepfim.decompose import STEP_SEPARATOR
 
 #: How `stats` counts tokens: words between whitespace.
 TOKENIZER_ID = "whitespace"
@@ -107,8 +107,7 @@ def stats(records: Iterable[dict[str, Any]]) -> CorpusStats:
             raise MalformedRecord(f"record {samples + 1}: steps must all be strings: {exc}") from exc
         samples += 1
         total_steps += len(steps)
-        flat = normalize_ws(text)  # single spaces between words, none at the ends
-        total_tokens += flat.count(" ") + 1 if flat else 0
+        total_tokens += len(text.split())
     if samples == 0:
         raise EmptyCorpus("no records to summarize")
     return CorpusStats(

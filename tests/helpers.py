@@ -25,9 +25,11 @@ error messages.
 The sampler reference keeps, verbatim, the per-round strings of the
 `sample_fim` that joined each round's prefix, suffix and serialized text,
 before samples came to store only their draw. Like `sample_fim`, it first
-checks the chain for special tokens with `check_chain`. `reference_sample_fim`
-returns each sample's `to_dict()`, so the stored draw is checked against the
-strings it stands for, and on error types and messages.
+refuses a chain with a special token, naming the question or step N, but
+with its own loop over the fields, so the token rule is not checked against
+itself. `reference_sample_fim` returns each sample's `to_dict()`, so the
+stored draw is checked against the strings it stands for, and on error
+types and messages.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from stepfim.decompose import (
     UnbalancedMath,
     _word_before,
 )
-from stepfim.fim import _round_key, check_chain, format_psm
+from stepfim.fim import SPECIAL_TOKENS, SpecialTokenCollision, _round_key, format_psm
 from stepfim.synth import (
     ALLOWED_OPERATORS,
     ANSWER_TEMPLATE,
@@ -358,8 +360,10 @@ def reference_fine_steps(question: str) -> list[str]:
 
 def reference_sample_fim(chain, question, config, source_id=""):
     """`config.rounds` FIM samples of one chain, as `to_dict()` rows."""
-    check_chain(question, chain.texts)
     texts = chain.texts
+    for what, text in [("question", question), *((f"step {n}", t) for n, t in enumerate(texts))]:
+        if any(token in text for token in SPECIAL_TOKENS):
+            raise SpecialTokenCollision(f"{what} contains a FIM special token")
     n = len(texts)
     samples = []
     for r in range(config.rounds):
