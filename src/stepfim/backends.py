@@ -28,7 +28,7 @@ from urllib.parse import urlsplit
 
 from stepfim import fim, synth
 from stepfim.decompose import STEP_SEPARATOR
-from stepfim.jsonl import read_jsonl
+from stepfim.jsonl import dumps_line, read_jsonl
 
 
 class BackendError(RuntimeError):
@@ -348,7 +348,7 @@ def record_fixtures(
                 continue
             seen.add(rid)
             response = live_backend.fill(request)
-            out.write(json.dumps({"request_id": rid, "response": response}, ensure_ascii=False) + "\n")
+            out.write(dumps_line({"request_id": rid, "response": response}))
             out.flush()
             written += 1
     return written

@@ -29,7 +29,7 @@ from stepfim.backends import BACKEND_KINDS, BackendConfig, BadFixture, make_back
 from stepfim.decompose import DecomposeConfig, chain_record, decompose, record_id, record_question
 from stepfim.expand import ExpansionConfig, expand_records, fill_slots
 from stepfim.fim import SamplerConfig, sample_fim, samples_jsonl
-from stepfim.jsonl import JsonlError, dumps_line, has_lone_surrogate, read_jsonl
+from stepfim.jsonl import JsonlError, dumps_line, read_json, read_jsonl
 from stepfim.stats import CorpusStats, EmptyCorpus, MalformedRecord, diff_stats, stats
 from stepfim.synth import DROP_PATTERNS, CorpusSpec, generate
 
@@ -182,15 +182,10 @@ _VALUE_KINDS: dict[Any, tuple[tuple[type, ...], str]] = {
 
 def _load_config_file(path: str, command: _Parser) -> dict[str, Any]:
     """The file's values for this subcommand, each checked as its flag is."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except UnicodeDecodeError as exc:
-            raise UsageError(f"config file {path}: not UTF-8 text: {exc}") from None
-        except ValueError as exc:  # also an int past the 4,300-digit conversion limit
-            raise UsageError(f"config file {path}: invalid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise UsageError(f"config file {path}: expected a flat JSON object")
+    try:
+        data = read_json(path)
+    except JsonlError as exc:
+        raise UsageError(f"config file {exc}") from exc
     unknown = sorted(set(data) - _ALL_KEYS)
     if unknown:
         raise UsageError(f"config file {path}: unknown keys {unknown}")
@@ -427,16 +422,7 @@ def cmd_stats(cfg: dict[str, Any]) -> int:
 
 
 def _load_stats_file(path: str) -> CorpusStats:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            text = handle.read()
-            data = json.loads(text)
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: not UTF-8 text: {exc}") from None
-        except ValueError as exc:  # also an int past the 4,300-digit conversion limit
-            raise DataError(f"{path}: invalid JSON: {exc}") from exc
-    if has_lone_surrogate(text, data):
-        raise DataError(f"{path}: a lone surrogate escape is not UTF-8 text")
+    data = read_json(path)
     try:
         return CorpusStats.from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:

@@ -9,6 +9,7 @@ under the same tokenizer_id, so diffs across schemes are refused.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Any, Iterable
 
@@ -43,21 +44,23 @@ class CorpusStats:
 
     @classmethod
     def from_dict(cls, row: dict[str, Any]) -> "CorpusStats":
-        """Read a summary back; KeyError for a missing field, TypeError for a mistyped one."""
+        """Read a summary back; KeyError for a missing field, TypeError for a mistyped
+        one, ValueError for an average that no float holds."""
         types = {"samples": (int,), "avg_tokens": (int, float), "total_tokens": (int,),
                  "avg_steps": (int, float), "tokenizer_id": (str,)}
+        values = {}
         for name, allowed in types.items():
             value = row[name]
             if isinstance(value, bool) or not isinstance(value, allowed):
                 raise TypeError(f"{name} must be {' or '.join(t.__name__ for t in allowed)}, "
                                 f"not {type(value).__name__}")
-        return cls(
-            samples=row["samples"],
-            avg_tokens=float(row["avg_tokens"]),
-            total_tokens=row["total_tokens"],
-            avg_steps=float(row["avg_steps"]),
-            tokenizer_id=row["tokenizer_id"],
-        )
+            if float in allowed:
+                try:
+                    value = float(value)
+                except OverflowError as exc:  # an int past float range
+                    raise ValueError(f"{name} is past float range") from exc
+            values[name] = value
+        return cls(**values)
 
 
 def render_pct(pct: float) -> str:
@@ -119,12 +122,18 @@ def stats(records: Iterable[dict[str, Any]]) -> CorpusStats:
     )
 
 
-def _pct(before: float, after: float) -> float:
+def _pct(name: str, before: float, after: float) -> float:
     if before == 0:
         if after == 0:
             return 0.0
         raise ValueError("cannot express a change from a zero baseline as a percentage")
-    return (after - before) / before * 100.0
+    try:
+        pct = (after - before) / before * 100.0
+    except OverflowError:  # an int quotient past float range
+        pct = math.inf
+    if not math.isfinite(pct):
+        raise ValueError(f"the change in {name} is past float range as a percentage")
+    return pct
 
 
 def diff_stats(before: CorpusStats, after: CorpusStats) -> StatsDelta:
@@ -134,9 +143,9 @@ def diff_stats(before: CorpusStats, after: CorpusStats) -> StatsDelta:
             f"before counted with {before.tokenizer_id!r}, after with {after.tokenizer_id!r}"
         )
     return StatsDelta(
-        samples_pct=_pct(before.samples, after.samples),
-        avg_tokens_pct=_pct(before.avg_tokens, after.avg_tokens),
-        total_tokens_pct=_pct(before.total_tokens, after.total_tokens),
-        avg_steps_pct=_pct(before.avg_steps, after.avg_steps),
+        samples_pct=_pct("samples", before.samples, after.samples),
+        avg_tokens_pct=_pct("avg_tokens", before.avg_tokens, after.avg_tokens),
+        total_tokens_pct=_pct("total_tokens", before.total_tokens, after.total_tokens),
+        avg_steps_pct=_pct("avg_steps", before.avg_steps, after.avg_steps),
         tokenizer_id=before.tokenizer_id,
     )

@@ -973,6 +973,42 @@ class TestStatsAndCompare:
         assert f"error: {summary}: {needle}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, before, after, needle", [
+        pytest.param("avg_tokens", "NaN", "3.5", "{before}: invalid JSON: NaN is not a finite float",
+                     id="nan"),
+        pytest.param("avg_steps", "2.0", "Infinity", "{after}: invalid JSON: Infinity is not a finite float",
+                     id="infinity"),
+        pytest.param("avg_steps", "-Infinity", "2.0",
+                     "{before}: invalid JSON: -Infinity is not a finite float", id="-infinity"),
+        pytest.param("avg_tokens", "3.5", "1e400", "{after}: invalid JSON: 1e400 is not a finite float",
+                     id="1e400"),
+        pytest.param("avg_tokens", "1" * 401, "3.5",
+                     "{before}: not a stats summary: avg_tokens is past float range", id="int-avg-tokens"),
+        pytest.param("total_tokens", "7", "1" * 401,
+                     "the change in total_tokens is past float range as a percentage",
+                     id="int-total-tokens"),
+        pytest.param("avg_tokens", "1e-320", "1e300",
+                     "the change in avg_tokens is past float range as a percentage", id="inf-percentage"),
+    ])
+    def test_compare_refuses_a_number_no_float_holds(self, tmp_path, capsys, field, before, after,
+                                                     needle):
+        summary = {"samples": "2", "avg_tokens": "3.5", "total_tokens": "7", "avg_steps": "2.0",
+                   "tokenizer_id": '"whitespace"'}
+        paths = {}
+        for side, value in (("before", before), ("after", after)):
+            paths[side] = tmp_path / f"{side}.json"
+            fields = {**summary, field: value}
+            paths[side].write_text("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}",
+                                   encoding="ascii")
+        out = tmp_path / "delta.json"
+        argv = ["compare", "--before", str(paths["before"]), "--after", str(paths["after"]),
+                "--output", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: {needle.format(**paths)}" in err, err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_stats_on_empty_corpus_exits_two(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("", encoding="utf-8")
@@ -1110,6 +1146,27 @@ class TestExitCodesAndConfig:
         if cmd != "stats":  # the record before it was written whole
             assert "q\U0001f600?" in out.read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+    @pytest.mark.parametrize("cmd", ["decompose", "build-fim", "expand", "stats"])
+    def test_a_number_no_float_holds_exits_two(self, tmp_path, capsys, cmd, token):
+        # RFC 8259 has no NaN or Infinity, and 1e400 would read as one
+        inp, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        row = ('{{"id": "{}", "question": "q?", "solution": "One step. Two step.", '
+               '"steps": ["One.", "Two."], "w": {}}}\n')
+        inp.write_text(row.format("a", 0.5) + row.format("b", token), encoding="ascii")
+        argv = {
+            "decompose": ["--output", str(out), "--rejects", str(tmp_path / "rej.jsonl")],
+            "build-fim": ["--output", str(out), "--seed", "1"],
+            "expand": ["--output", str(out), "--backend", "oracle"],
+            "stats": [],
+        }[cmd]
+        assert cli.main([cmd, "--input", str(inp), *argv]) == 2
+        err = capsys.readouterr().err
+        assert f"in.jsonl:2: invalid JSON: {token} is not a finite float" in err, err
+        assert "Traceback" not in err
+        if cmd != "stats":  # the record before it was written
+            assert len(_read_jsonl(out)) == (3 if cmd == "build-fim" else 1)
+
     def test_stderr_opens_with_the_effective_config(self, synth_dir):
         result = run_cli("stats", "--input", str(synth_dir / "fine.jsonl"))
         echo = json.loads(result.stderr.splitlines()[0])
@@ -1182,6 +1239,13 @@ class TestExitCodesAndConfig:
                  "--fixture-path", "{fix}"],
                 2, "fix.jsonl", id="replay-fixture-without-request-id",
             ),
+            pytest.param(
+                # json.dumps writes a float nan as NaN
+                {"src": [CHAIN], "fix": [{"request_id": "r", "response": "x", "w": float("nan")}]},
+                ["expand", "--input", "{src}", "--output", "{out}", "--backend", "replay",
+                 "--fixture-path", "{fix}"],
+                2, "fix.jsonl:1: invalid JSON: NaN is not a finite float", id="replay-fixture-nan",
+            ),
         ],
     )
     def test_bad_input_keeps_the_exit_code_contract(self, tmp_path, files, argv, code, needle):
@@ -1240,6 +1304,9 @@ class TestExitCodesAndConfig:
                      id="not-utf8"),
         pytest.param(b'{"seed": 1' + b"0" * 4300 + b"}", "invalid JSON: Exceeds the limit",
                      id="int-past-digit-limit"),
+        pytest.param(b'{"eta": NaN}', "invalid JSON: NaN is not a finite float", id="nan"),
+        pytest.param(b'{"input": "x\\ud800.jsonl"}', "a lone surrogate escape is not UTF-8 text",
+                     id="lone-surrogate"),
     ])
     def test_an_unreadable_config_file_is_named(self, tmp_path, capsys, content, needle):
         cfg = tmp_path / "run.json"

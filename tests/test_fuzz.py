@@ -3,11 +3,12 @@
 Every line is a valid JSON object, but its keys and values are drawn at
 random, biased toward the keys the subcommands read; a text value may
 hold a lone surrogate, valid JSON that is no UTF-8 text, and one line may
-not be UTF-8 at all. A subcommand must exit 0 (bad records are skipped,
-rejected or passed through) or 2 (bad data), never raise out of
-`cli.main` and never print a traceback. With the oracle, `expand` exits 2
-when every gap it tried ended in `backend_error`: the oracle cannot parse
-a question it did not generate.
+not be UTF-8 at all or may carry a number RFC 8259 excludes (`NaN`,
+`Infinity`, `-Infinity`) or one past float range (`1e400`). A subcommand
+must exit 0 (bad records are skipped, rejected or passed through) or 2
+(bad data), never raise out of `cli.main` and never print a traceback.
+With the oracle, `expand` exits 2 when every gap it tried ended in
+`backend_error`: the oracle cannot parse a question it did not generate.
 
 Every record is accounted for: the counts on a subcommand's summary line
 add up to the input rows, and `decompose`, `build-fim` and `expand` give
@@ -41,6 +42,12 @@ json_values = st.recursive(
 keys = st.sampled_from(["id", "question", "solution", "steps"]) | st.text(max_size=6)
 steps = st.lists(texts, max_size=5)
 records = st.dictionaries(keys, json_values | steps, max_size=5)
+# a line no subcommand may read, and how the error names it
+bad_lines = st.sampled_from([
+    (b'{"id": "\xff"}', "not UTF-8 text"),
+    *((b'{"id": "a", "w": %s}' % token, "invalid JSON")
+      for token in (b"NaN", b"Infinity", b"-Infinity", b"1e400")),
+])
 
 COMMANDS = {
     "decompose": ["--output", "{out}", "--rejects", "{rej}"],
@@ -72,12 +79,13 @@ def _id_missing_reports(cmd: str, err: str, rej: str) -> int:
 
 @pytest.mark.parametrize("cmd", sorted(COMMANDS))
 @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(rows=st.lists(records, max_size=4), not_utf8_at=st.none() | st.integers(0, 4))
-def test_any_json_objects_keep_the_exit_code_contract(tmp_path, capsys, rows, not_utf8_at, cmd):
+@given(rows=st.lists(records, max_size=4), bad_at=st.none() | st.integers(0, 4), bad=bad_lines)
+def test_any_json_objects_keep_the_exit_code_contract(tmp_path, capsys, rows, bad_at, bad, cmd):
     paths = {name: str(tmp_path / f"{name}.jsonl") for name in ("in", "out", "rej")}
     lines = [json.dumps(row, allow_nan=False).encode("ascii") + b"\n" for row in rows]
-    if not_utf8_at is not None:
-        lines.insert(not_utf8_at, b'{"id": "\xff"}\n')
+    bad_line, needle = bad
+    if bad_at is not None:
+        lines.insert(bad_at, bad_line + b"\n")
     with open(paths["in"], "wb") as handle:
         handle.write(b"".join(lines))
     argv = [cmd, "--input", paths["in"], *(arg.format(**paths) for arg in COMMANDS[cmd])]
@@ -85,10 +93,10 @@ def test_any_json_objects_keep_the_exit_code_contract(tmp_path, capsys, rows, no
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert code in (0, 2), err
-    if not_utf8_at is not None:
+    if bad_at is not None:
         assert code == 2, err
-        before = min(not_utf8_at, len(rows))
-        if f"in.jsonl:{before + 1}: not UTF-8 text" not in err:
+        before = min(bad_at, len(rows))
+        if f"in.jsonl:{before + 1}: {needle}" not in err:
             # the rows before that line are read first: one of them ended the run, so alone they do too
             with open(paths["in"], "wb") as handle:
                 handle.write(b"".join(lines[:before]))
