@@ -181,10 +181,13 @@ class HttpBackend:
     from the environment variable named by ``auth_token_env`` so tokens
     never appear on command lines.
 
-    Each filling thread keeps one keep-alive `http.client` connection, and
-    a failed attempt closes it; `close` closes them all and ends the fills
-    that are running. Proxy variables and ``~/.netrc`` are not read; HTTPS
-    is verified by `ssl`'s default context against the system CA store.
+    `timeout_ms` is the connection's socket timeout: it bounds the connect
+    and each wait for response bytes, not the whole request, so a body that
+    keeps trickling in is read to its end. Each filling thread keeps one
+    keep-alive `http.client` connection, and a failed attempt closes it;
+    `close` closes them all and ends the fills that are running. Proxy
+    variables and ``~/.netrc`` are not read; HTTPS is verified by `ssl`'s
+    default context against the system CA store.
     """
 
     waits = True

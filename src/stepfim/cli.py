@@ -27,7 +27,7 @@ from urllib.parse import urlsplit
 
 from stepfim.backends import BACKEND_KINDS, BackendConfig, BadFixture, make_backend
 from stepfim.decompose import DecomposeConfig, chain_record, decompose, record_id, record_question
-from stepfim.expand import ExpansionConfig, expand_records, fill_slots
+from stepfim.expand import ExpansionConfig, WorkerStartError, expand_records, fill_slots
 from stepfim.fim import SamplerConfig, sample_fim, samples_jsonl
 from stepfim.jsonl import JsonlError, dumps_line, read_json, read_jsonl
 from stepfim.stats import CorpusStats, EmptyCorpus, MalformedRecord, diff_stats, stats
@@ -111,7 +111,8 @@ def build_parser() -> _Parser:
     p.add_argument("--auth-token-env", default=BackendConfig.auth_token_env,
                    help="env var holding the bearer token (http backend)")
     p.add_argument("--timeout-ms", type=int, default=BackendConfig.timeout_ms,
-                   help="per-request timeout (http backend; default %(default)s)")
+                   help="socket timeout in ms: bounds the connect and each wait for response "
+                        "bytes, not the whole request (http backend; default %(default)s)")
     p.add_argument("--backoff-ms", type=int, default=BackendConfig.backoff_ms,
                    help="wait before retry n is n times this (http backend; default %(default)s)")
     p.add_argument("--fixture-path", default=BackendConfig.fixture_path,
@@ -371,6 +372,8 @@ def cmd_expand(cfg: dict[str, Any]) -> int:
                         failing = failing + 1 if errored == attempted else 0
                     if failing == FAILING_RECORDS:
                         break
+    except WorkerStartError as exc:  # the records yielded before it are written
+        raise OSError(f"--max-in-flight {econf.max_in_flight}: {exc}") from exc
     finally:
         results.close()  # waits for running fills, so no connection is in use below
         getattr(backend, "close", lambda: None)()

@@ -54,8 +54,6 @@ INVALID = "invalid"
 MALFORMED = "malformed"
 BACKEND_ERROR = "backend_error"
 
-DECISIONS = (VALID, INVALID, MALFORMED, BACKEND_ERROR)
-
 # records read ahead per fill slot: room for the oldest record to wait on
 # its slowest gaps while the other workers stay busy with later records
 LOOKAHEAD = 4
@@ -114,24 +112,37 @@ class GapProposal:
 
 @dataclass(frozen=True)
 class ExpansionReport:
-    """Accounting for one expansion pass."""
+    """Accounting for one expansion pass.
+
+    No count is an argument: each is computed once from `proposals`, so they
+    add up to `attempted`, and `output_steps` is `input_steps + inserted`.
+    """
 
     record_id: str | None = None
     iteration: int = 0
     input_steps: int = 0
-    output_steps: int = 0
-    attempted: int = 0
-    inserted: int = 0
-    invalid: int = 0
-    malformed: int = 0
-    errored: int = 0
+    output_steps: int = field(init=False)
+    attempted: int = field(init=False)
+    inserted: int = field(init=False)
+    invalid: int = field(init=False)
+    malformed: int = field(init=False)
+    errored: int = field(init=False)
     elapsed_ms: float = 0.0
     proposals: tuple[GapProposal, ...] = field(default=())
     error: str | None = None
 
     def __post_init__(self) -> None:
-        if self.attempted != self.inserted + self.invalid + self.malformed + self.errored:
-            raise ValueError("gap decisions do not add up to the attempt count")
+        decisions = [p.decision for p in self.proposals]
+        inserted = decisions.count(VALID)
+        for name, value in (
+            ("output_steps", self.input_steps + inserted),
+            ("attempted", len(decisions)),
+            ("inserted", inserted),
+            ("invalid", decisions.count(INVALID)),
+            ("malformed", decisions.count(MALFORMED)),
+            ("errored", decisions.count(BACKEND_ERROR)),
+        ):
+            object.__setattr__(self, name, value)
 
     def to_dict(self, include_proposals: bool = True) -> dict[str, Any]:
         """Everything but `elapsed_ms`, so report files stay byte-stable."""
@@ -238,21 +249,10 @@ def expand_chain(
         if idx0 + 1 in accepted:
             out_texts.append(accepted[idx0 + 1])
         out_texts.append(text)
-    expanded = StepChain.from_texts(out_texts)
-
-    counts = {d: 0 for d in DECISIONS}
-    for p in proposals:
-        counts[p.decision] += 1
-    return expanded, ExpansionReport(
+    return StepChain.from_texts(out_texts), ExpansionReport(
         record_id=record_id,
         iteration=iteration,
         input_steps=len(chain),
-        output_steps=len(expanded),
-        attempted=len(proposals),
-        inserted=counts[VALID],
-        invalid=counts[INVALID],
-        malformed=counts[MALFORMED],
-        errored=counts[BACKEND_ERROR],
         elapsed_ms=(time.perf_counter() - started) * 1000.0,
         proposals=tuple(proposals),
     )
@@ -287,6 +287,10 @@ class _Stopped(BaseException):
     """Raised by a pool worker's fill once the record stream has stopped."""
 
 
+class WorkerStartError(RuntimeError):
+    """A pool worker thread could not start (a pids limit, or too many threads)."""
+
+
 def _expand_row(
     row: dict[str, Any], backend: FimBackend, config: ExpansionConfig
 ) -> tuple[dict[str, Any], list[ExpansionReport]]:
@@ -300,13 +304,7 @@ def _expand_row(
     except Exception as exc:  # bad shape, a special token or backend misuse: this record fails alone
         steps = row.get("steps")
         n = len(steps) if isinstance(steps, list) else 0
-        failure = ExpansionReport(
-            record_id=row_id,
-            input_steps=n,
-            output_steps=n,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-        return row, [failure]
+        return row, [ExpansionReport(record_id=row_id, input_steps=n, error=f"{type(exc).__name__}: {exc}")]
     out = dict(row)
     out["steps"] = list(chain.texts)
     return out, reports
@@ -328,14 +326,15 @@ def expand_records(
     slot ahead of the one yielded next, and the run ends with a tail of at
     most one record per worker. Stopping (the generator closed, an input
     error, a fill's BaseException, which is raised here in its record's
-    turn) calls the backend's `close()`, if it has one, so that the fills
-    that are running end, and waits only on them. The workers are not
-    daemon threads, so a generator left open at interpreter exit waits for
-    the records already handed to them (at most 4 per slot). A record that
-    cannot be expanded (bad shape, a FIM special token in its question or
-    steps, found before its first fill, or backend misuse) is yielded
-    unchanged with a zero-count report carrying the error, so a single
-    poisoned record never aborts a batch run.
+    turn, or a worker thread that cannot start, which raises
+    `WorkerStartError`) calls the backend's `close()`, if it has one, so
+    that the fills that are running end, and waits only on them. The
+    workers are not daemon threads, so a generator left open at interpreter
+    exit waits for the records already handed to them (at most 4 per slot).
+    A record that cannot be expanded (bad shape, a FIM special token in its
+    question or steps, found before its first fill, or backend misuse) is
+    yielded unchanged with a zero-count report carrying the error, so a
+    single poisoned record never aborts a batch run.
     """
     if config is None:
         config = ExpansionConfig()
@@ -372,7 +371,10 @@ def expand_records(
     drained = False
     try:
         for row in records:
-            window.append(pool.submit(_expand_row, row, stoppable, config))
+            try:  # starts a worker thread while none is idle and fewer than `slots` run
+                window.append(pool.submit(_expand_row, row, stoppable, config))
+            except RuntimeError as exc:
+                raise WorkerStartError(f"cannot start a worker thread: {exc}") from exc
             if len(window) == LOOKAHEAD * slots:
                 yield oldest()
         while window:

@@ -325,6 +325,36 @@ class TestHttpBackend:
             backend = HttpBackend(_http_config(server.url, max_new_chars=10))
             assert backend.fill(_request()) == "x" * 10
 
+    def test_timeout_ms_bounds_each_wait_not_the_whole_request(self):
+        """`timeout_ms` is the socket timeout: a body that trickles in, each part
+        well within it, is read to the end, long after the timeout."""
+        body = b'{"completion": "in parts of eight"}'
+        assert len(body) == 35
+
+        def trickle():
+            conn = listener.accept()[0]
+            with conn:
+                _read_request(conn)
+                conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 35\r\n\r\n")
+                for at in range(0, len(body), 8):
+                    time.sleep(0.3)
+                    conn.sendall(body[at:at + 8])
+
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.settimeout(30)
+            url = f"http://127.0.0.1:{listener.getsockname()[1]}/v1/completions"
+            backend = HttpBackend(_http_config(url, retry_limit=0, timeout_ms=500))
+            server = threading.Thread(target=trickle)
+            server.start()
+            try:
+                started = time.perf_counter()
+                assert backend.fill(_request()) == "in parts of eight"
+                elapsed = time.perf_counter() - started
+            finally:
+                backend.close()
+                server.join(timeout=30)
+        assert elapsed >= 1.4 > 2 * 0.5, elapsed
+
 
 class TestKeepAliveConnections:
     def test_two_fills_reuse_one_connection(self):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import re
 import signal
 import socket
 import subprocess
@@ -679,6 +680,55 @@ class TestExpand:
         (line,) = _read_jsonl(report)[1:]
         assert [p["decision"] for p in line["proposals"]] == ["backend_error"]
         assert _read_jsonl(out) == _read_jsonl(inp)
+
+    def test_the_summary_counts_each_decision(self, tmp_path, capsys):
+        steps = ["Add 2 and 3.", "That gives 5.", "Double it.", "That gives 10.", "The answer is 10."]
+        row = {"id": "m", "question": "What is (2 + 3) * 2?", "steps": steps}
+        inp, out, report, fixture = (tmp_path / name for name in ("in.jsonl", "out.jsonl",
+                                                                   "report.jsonl", "fix.jsonl"))
+        _write_jsonl(inp, [row])
+        # gap 1 a fresh step, gap 2 an echo of the next step, gap 3 sentinel noise, gap 4 no entry
+        responses = ["Write down both numbers.", steps[2], "<|fim_middle|>"]
+        _write_jsonl(fixture, [
+            {"request_id": request_id_for(row["question"], steps[:i], steps[i:]), "response": response}
+            for i, response in enumerate(responses, start=1)])
+        code = cli.main(["expand", "--input", str(inp), "--output", str(out), "--report", str(report),
+                         "--backend", "replay", "--fixture-path", str(fixture)])
+        summary = capsys.readouterr().err.splitlines()[-1]
+        assert code == 0, summary
+        assert re.sub(r"\d+\.\d\ds", "N.NNs", summary) == (
+            "expand: 1 records (0 failed), 1 inserted / 1 invalid / 1 malformed / 1 errored, "
+            "N.NNs, 1 request in flight at most")
+        (line,) = _read_jsonl(report)[1:]
+        assert [p["decision"] for p in line["proposals"]] == ["valid", "invalid", "malformed",
+                                                              "backend_error"]
+        assert (line["input_steps"], line["output_steps"]) == (5, 6)
+        assert _read_jsonl(out)[0]["steps"] == [steps[0], responses[0], *steps[1:]]
+
+    def test_a_worker_thread_that_cannot_start_exits_two(self, tmp_path, capsys, monkeypatch):
+        start = threading.Thread.start
+
+        def refuse_pool_workers(thread):
+            if thread.name.startswith("ThreadPoolExecutor-"):
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        inp, out, report = tmp_path / "in.jsonl", tmp_path / "out.jsonl", tmp_path / "report.jsonl"
+        _write_jsonl(inp, [{**CHAIN, "id": f"c{i}"} for i in range(6)])
+        with StubCompletionServer([(200, {"completion": "Write down both numbers."})]) as server:
+            monkeypatch.setattr(threading.Thread, "start", refuse_pool_workers)
+            code = cli.main(["expand", "--input", str(inp), "--output", str(out), "--report",
+                             str(report), "--backend", "http", "--endpoint-url", server.url,
+                             "--max-in-flight", "4"])
+            monkeypatch.undo()
+            assert server.seen == []
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "Traceback" not in err
+        (error,) = [line for line in err.splitlines() if line.startswith("error:")]
+        assert error == "error: --max-in-flight 4: cannot start a worker thread: can't start new thread"
+        assert out.read_bytes() == b""
+        assert list(_read_jsonl(report)[0]) == ["config"] and len(_read_jsonl(report)) == 1
 
     # records that a FIM prompt cannot hold, and the error each one's report line gives
     TOKEN_RECORDS = [

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import threading
 import time
@@ -309,18 +310,52 @@ class TestIterations:
         assert all(r.invalid == r.attempted for r in reports)
 
 
+def _decision_counts(proposals) -> tuple[int, ...]:
+    """Each decision's count, in the order of the report's fields."""
+    decisions = [p.decision for p in proposals]
+    return tuple(sum(d == decision for d in decisions)
+                 for decision in (VALID, INVALID, MALFORMED, BACKEND_ERROR))
+
+
+def _counts(report: ExpansionReport) -> tuple[int, ...]:
+    return report.inserted, report.invalid, report.malformed, report.errored
+
+
 class TestReports:
-    def test_accounting_must_balance(self):
-        with pytest.raises(ValueError):
-            ExpansionReport(
-                input_steps=3,
-                output_steps=4,
-                attempted=2,
-                inserted=1,
-                invalid=0,
-                malformed=0,
-                errored=0,
-            )
+    @pytest.mark.parametrize("mif", [1, 4])
+    def test_counts_are_computed_from_the_proposals(self, mif):
+        rows = [{"id": f"r{i}", "question": QUESTION,
+                 "steps": [f"step {j} of record {i}." for j in range(2 + i % 4)]} for i in range(12)]
+        rows.insert(5, {"id": "bad", "question": QUESTION, "steps": ["One.", 2]})
+        config = ExpansionConfig(iterations=2, max_in_flight=mif)
+        out = list(expand_records(rows, ChaoticBackend(), config))  # waits: mif 4 runs a pool
+        reports = [report for _, reports in out for report in reports]
+        (failure,) = [report for report in reports if report.error is not None]
+        assert (failure.record_id, failure.input_steps, failure.output_steps) == ("bad", 2, 2)
+        assert failure.attempted == 0 and _counts(failure) == (0, 0, 0, 0)
+        for report in reports:
+            assert _counts(report) == _decision_counts(report.proposals)
+            assert report.attempted == len(report.proposals)
+            assert report.output_steps == report.input_steps + report.inserted
+        assert [rounds[-1].output_steps for _, rounds in out] == [len(row["steps"]) for row, _ in out]
+        assert {p.decision for report in reports for p in report.proposals} == {
+            VALID, INVALID, MALFORMED, BACKEND_ERROR}
+
+    def test_replace_recomputes_the_counts(self):
+        _, report = expand_chain(QUESTION, _chain(FINE), ChaoticBackend(), ExpansionConfig())
+        for proposals in (report.proposals[1:], (), tuple(
+                dataclasses.replace(p, decision=VALID) for p in report.proposals)):
+            changed = dataclasses.replace(report, proposals=proposals)
+            assert _counts(changed) == _decision_counts(proposals)
+            assert changed.attempted == len(proposals)
+            assert changed.output_steps == report.input_steps + changed.inserted
+        assert changed.inserted == changed.attempted == len(FINE) - 1
+
+    @pytest.mark.parametrize(
+        "name", ["attempted", "inserted", "invalid", "malformed", "errored", "output_steps"])
+    def test_no_count_is_an_argument(self, name):
+        with pytest.raises(TypeError):
+            ExpansionReport(**{name: 1})
 
     def test_counts_match_decisions(self):
         class Mixed:
