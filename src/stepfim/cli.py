@@ -26,7 +26,7 @@ from typing import Any, Callable, TextIO
 from urllib.parse import urlsplit
 
 from stepfim.backends import BACKEND_KINDS, BackendConfig, BadFixture, make_backend
-from stepfim.decompose import DecomposeConfig, chain_record, decompose, record_id, record_question
+from stepfim.decompose import DecomposeConfig, chain_record, decompose, record_field, record_id, record_question
 from stepfim.expand import ExpansionConfig, WorkerStartError, expand_records, fill_slots
 from stepfim.fim import SamplerConfig, sample_fim, samples_jsonl
 from stepfim.jsonl import JsonlError, dumps_line, read_json, read_jsonl
@@ -278,11 +278,11 @@ def cmd_decompose(cfg: dict[str, Any]) -> int:
                 ids[record_id(row)] += 1
                 try:
                     question = record_question(row)
-                    chain = decompose(row["solution"], dconf)
+                    chain = decompose(record_field(row, "solution"), dconf)
                     line = dumps_line(
                         {"id": row["id"], "question": question, "steps": list(chain.texts)}
                     )
-                except (KeyError, ValueError) as exc:
+                except ValueError as exc:
                     rejected += 1
                     if rejects_handle is not None:
                         rejects_handle.write(
@@ -314,7 +314,7 @@ def cmd_build_fim(cfg: dict[str, Any]) -> int:
             try:
                 question, chain = chain_record(row)
                 samples = sample_fim(chain, question, sampler, source_id=str(row["id"]))
-            except (KeyError, ValueError) as exc:
+            except ValueError as exc:
                 skipped += 1
                 _note(f"build-fim: skipping record {row.get('id')!r}: {exc}")
                 continue

@@ -105,22 +105,29 @@ def record_id(row: dict[str, Any]) -> str | None:
     return str(value) if isinstance(value, (str, int)) and not isinstance(value, bool) else None
 
 
+def record_field(row: dict[str, Any], name: str) -> Any:
+    """`row[name]`; ValueError naming the field when it is missing."""
+    try:
+        return row[name]
+    except KeyError:
+        raise ValueError(f"{name} is missing") from None
+
+
 def record_question(row: dict[str, Any]) -> str:
-    """A record's question; KeyError when it is missing, ValueError for a missing or bad id
-    or a bad question."""
+    """A record's question; ValueError for a missing or bad id or question."""
     if record_id(row) is None:
         if "id" not in row:
             raise ValueError("id is missing")
         raise ValueError(f"id must be a string or an int, not a {type(row['id']).__name__}")
-    question = row["question"]
+    question = record_field(row, "question")
     if not isinstance(question, str):
         raise ValueError(f"question must be a string, not a {type(question).__name__}")
     return question
 
 
 def chain_record(row: dict[str, Any]) -> tuple[str, StepChain]:
-    """The question and step chain of a record; KeyError or ValueError when malformed."""
-    return record_question(row), StepChain.from_texts(row["steps"])
+    """The question and step chain of a record; ValueError when malformed."""
+    return record_question(row), StepChain.from_texts(record_field(row, "steps"))
 
 
 @dataclass(frozen=True)

@@ -35,11 +35,11 @@ types and messages.
 from __future__ import annotations
 
 import contextlib
-import importlib
 import json
 import random
 import re
 import socket
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
@@ -47,6 +47,7 @@ from unittest import mock
 
 import numpy as np
 
+import stepfim.decompose as decompose_module
 from stepfim.decompose import (
     ABBREVIATIONS,
     MARKER_WORDS,
@@ -66,9 +67,6 @@ from stepfim.synth import (
     _QUESTION_RE,
     _TOKEN_RE,
 )
-
-# `stepfim.decompose` the module: the package re-exports the function under that name
-decompose_module = importlib.import_module("stepfim.decompose")
 
 
 def _normalize_ws(text: str) -> str:
@@ -393,6 +391,8 @@ class _StubHandler(BaseHTTPRequestHandler):
     def do_POST(self):  # noqa: N802 (http.server API name)
         length = int(self.headers.get("Content-Length", "0"))
         raw = self.rfile.read(length)
+        if len(raw) < length:  # the client shut its socket mid-request: nothing to answer
+            return
         try:
             body = json.loads(raw)
         except json.JSONDecodeError:
@@ -433,23 +433,30 @@ class _KeepAliveStubHandler(_StubHandler):
         super().finish()
 
 
+class _StubServer(ThreadingHTTPServer):
+    def handle_error(self, request, client_address):
+        """Stay quiet about a client that hung up before its reply; report any other error."""
+        if not isinstance(sys.exc_info()[1], (BrokenPipeError, ConnectionResetError)):
+            super().handle_error(request, client_address)
+
+
 class StubCompletionServer:
     """Local HTTP server that replays a scripted list of (status, payload).
 
     The last script entry repeats for any further requests. A script that
     is a function instead answers each request with what it returns for
     the parsed body, whatever order requests arrive in. `seen` holds
-    one entry per request: path, parsed body, headers and the client's
-    (host, port), which names the connection the request came on. By
-    default every response closes its connection (HTTP/1.0); with
-    `keep_alive=True` connections stay open (HTTP/1.1, TCP_NODELAY) until
-    the client closes them or `drop_connections` does.
+    one entry per request whose body arrived whole: path, parsed body,
+    headers and the client's (host, port), which names the connection the
+    request came on. By default every response closes its connection
+    (HTTP/1.0); with `keep_alive=True` connections stay open (HTTP/1.1,
+    TCP_NODELAY) until the client closes them or `drop_connections` does.
     """
 
     def __init__(self, script: list[tuple[int, object]] | Callable[[object], tuple[int, object]],
                  keep_alive: bool = False):
         handler = _KeepAliveStubHandler if keep_alive else _StubHandler
-        self._server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+        self._server = _StubServer(("127.0.0.1", 0), handler)
         self._server.script = script
         self._server.seen = []
         self._server.open = set()

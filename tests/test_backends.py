@@ -7,16 +7,18 @@ import itertools
 import json
 import re
 import socket
+import struct
 import subprocess
 import sys
 import threading
 import time
 from json.encoder import encode_basestring
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from helpers import StubCompletionServer
+from helpers import StubCompletionServer, _StubServer
 from stepfim import backends
 from stepfim.backends import (
     BackendConfig,
@@ -480,6 +482,32 @@ class TestKeepAliveConnections:
                 assert all(conn.sock is None for conn in backend._connections)
         finally:
             sys.setswitchinterval(switch)
+
+
+def test_the_stub_prints_nothing_for_a_client_that_hung_up(capfd):
+    received, hung_up, handled = threading.Event(), threading.Event(), threading.Event()
+
+    def script(body):
+        received.set()
+        hung_up.wait(timeout=30)  # so the reply is written to a reset connection
+        return 200, {"completion": "too late"}
+
+    handle_error = _StubServer.handle_error
+
+    def handled_error(self, request, client_address):
+        handle_error(self, request, client_address)
+        handled.set()
+
+    with mock.patch.object(_StubServer, "handle_error", handled_error):
+        with StubCompletionServer(script) as server:
+            with socket.create_connection(server._server.server_address) as client:
+                client.sendall(b"POST /v1/completions HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}")
+                assert received.wait(timeout=30)
+                # close with a reset, not a FIN
+                client.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            hung_up.set()
+            assert handled.wait(timeout=30)
+    assert "Traceback" not in capfd.readouterr().err
 
 
 def test_the_runtime_imports_no_http_library_until_it_fills(tmp_path):

@@ -68,6 +68,32 @@ def synth_dir(tmp_path):
     return out
 
 
+@pytest.mark.parametrize("field", ["question", "steps", "solution"])
+def test_a_missing_field_is_named_by_each_subcommand_that_reads_it(tmp_path, capsys, field):
+    # decompose reads question and solution; build-fim and expand read question and steps
+    row = {"id": "a", "question": "What is the value of (2 + 3) * 4?",
+           "solution": "Compute 2 + 3 = 5. The answer is 20.",
+           "steps": ["Compute 2 + 3 = 5.", "The answer is 20."]}
+    del row[field]
+    inp, out, aside = tmp_path / "in.jsonl", tmp_path / "out.jsonl", tmp_path / "aside.jsonl"
+    _write_jsonl(inp, [row])
+    reason = f"{field} is missing"
+
+    assert cli.main(["decompose", "--input", str(inp), "--output", str(out),
+                     "--rejects", str(aside)]) == 0
+    rejects = _read_jsonl(aside)
+    assert rejects == ([{**row, "error": f"ValueError: {reason}"}] if field != "steps" else [])
+
+    assert cli.main(["build-fim", "--input", str(inp), "--output", str(out), "--seed", "7"]) == 0
+    skipped = [line for line in capsys.readouterr().err.splitlines() if "skipping" in line]
+    assert skipped == ([f"build-fim: skipping record 'a': {reason}"] if field != "solution" else [])
+
+    assert cli.main(["expand", "--input", str(inp), "--output", str(out), "--report", str(aside),
+                     "--backend", "oracle"]) == 0
+    (line,) = _read_jsonl(aside)[1:]
+    assert line["error"] == (f"ValueError: {reason}" if field != "solution" else None)
+
+
 class TestGenSynth:
     def test_writes_three_corpus_files(self, synth_dir):
         for name in ("coarse.jsonl", "fine.jsonl", "dropped.jsonl"):
