@@ -28,7 +28,7 @@ from urllib.parse import urlsplit
 
 from stepfim import fim, synth
 from stepfim.decompose import STEP_SEPARATOR
-from stepfim.jsonl import dumps_line, read_jsonl
+from stepfim.jsonl import dumps_line, open_out, read_jsonl
 
 
 class BackendError(RuntimeError):
@@ -344,7 +344,7 @@ def record_fixtures(
     """
     seen: set[str] = set()
     written = 0
-    with open(fixture_path, "w", encoding="utf-8", newline="\n") as out:
+    with open_out(fixture_path) as out:
         for request in requests:
             rid = request.request_id
             if rid in seen:

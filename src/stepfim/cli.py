@@ -22,14 +22,14 @@ import os
 import sys
 import time
 from collections import Counter
-from typing import Any, Callable, TextIO
+from typing import Any, Callable
 from urllib.parse import urlsplit
 
 from stepfim.backends import BACKEND_KINDS, BackendConfig, BadFixture, make_backend
 from stepfim.decompose import DecomposeConfig, chain_record, decompose, record_field, record_id, record_question
 from stepfim.expand import ExpansionConfig, WorkerStartError, expand_records, fill_slots
 from stepfim.fim import SamplerConfig, sample_fim, samples_jsonl
-from stepfim.jsonl import JsonlError, dumps_line, read_json, read_jsonl
+from stepfim.jsonl import JsonlError, dumps_line, open_out, read_json, read_jsonl
 from stepfim.stats import CorpusStats, EmptyCorpus, MalformedRecord, diff_stats, stats
 from stepfim.synth import DROP_PATTERNS, CorpusSpec, generate
 
@@ -247,14 +247,10 @@ def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _open_out(path: str) -> TextIO:
-    return open(path, "w", encoding="utf-8", newline="\n")
-
-
 def _write_json(payload: dict[str, Any], path: str) -> None:
     text = json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
     if path:
-        with _open_out(path) as handle:
+        with open_out(path) as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -271,9 +267,9 @@ def cmd_decompose(cfg: dict[str, Any]) -> int:
     dconf = DecomposeConfig(min_step_chars=cfg["min_step_chars"])
     kept = rejected = 0
     ids: Counter = Counter()
-    rejects_handle = _open_out(cfg["rejects"]) if cfg["rejects"] else None
+    rejects_handle = open_out(cfg["rejects"]) if cfg["rejects"] else None
     try:
-        with _open_out(cfg["output"]) as out:
+        with open_out(cfg["output"]) as out:
             for row in read_jsonl(cfg["input"]):
                 ids[record_id(row)] += 1
                 try:
@@ -308,7 +304,7 @@ def cmd_build_fim(cfg: dict[str, Any]) -> int:
     sampler = SamplerConfig(rounds=cfg["rounds"], seed=cfg["seed"])
     written = skipped = 0
     ids: Counter = Counter()
-    with _open_out(cfg["output"]) as out:
+    with open_out(cfg["output"]) as out:
         for row in read_jsonl(cfg["input"]):
             ids[record_id(row)] += 1
             try:
@@ -350,11 +346,11 @@ def cmd_expand(cfg: dict[str, Any]) -> int:
     failing = 0  # the last records in a row that tried gaps and had every one error
     started = time.perf_counter()
     results = expand_records(read_jsonl(cfg["input"]), backend, econf)
-    report_handle = _open_out(cfg["report"]) if cfg["report"] else None
+    report_handle = open_out(cfg["report"]) if cfg["report"] else None
     try:
         if report_handle is not None:
             report_handle.write(dumps_line({"config": cfg}))
-        with _open_out(cfg["output"]) as out:
+        with open_out(cfg["output"]) as out:
             for row, reports in results:
                 out.write(dumps_line(row))
                 ids[record_id(row)] += 1
@@ -405,8 +401,8 @@ def cmd_gen_synth(cfg: dict[str, Any]) -> int:
     problems = generate(spec)
     os.makedirs(cfg["out"], exist_ok=True)
     paths = {name: os.path.join(cfg["out"], f"{name}.jsonl") for name in ("coarse", "fine", "dropped")}
-    with _open_out(paths["coarse"]) as coarse, _open_out(paths["fine"]) as fine, \
-            _open_out(paths["dropped"]) as dropped:
+    with open_out(paths["coarse"]) as coarse, open_out(paths["fine"]) as fine, \
+            open_out(paths["dropped"]) as dropped:
         for prob in problems:
             for handle, chain in ((coarse, prob.coarse_chain), (fine, prob.fine_chain)):
                 handle.write(dumps_line(
@@ -428,7 +424,7 @@ def _load_stats_file(path: str) -> CorpusStats:
     data = read_json(path)
     try:
         return CorpusStats.from_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: not a stats summary: {exc}") from exc
 
 

@@ -116,9 +116,8 @@ def record_field(row: dict[str, Any], name: str) -> Any:
 def record_question(row: dict[str, Any]) -> str:
     """A record's question; ValueError for a missing or bad id or question."""
     if record_id(row) is None:
-        if "id" not in row:
-            raise ValueError("id is missing")
-        raise ValueError(f"id must be a string or an int, not a {type(row['id']).__name__}")
+        value = record_field(row, "id")
+        raise ValueError(f"id must be a string or an int, not a {type(value).__name__}")
     question = record_field(row, "question")
     if not isinstance(question, str):
         raise ValueError(f"question must be a string, not a {type(question).__name__}")

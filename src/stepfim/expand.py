@@ -37,7 +37,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
@@ -99,15 +99,11 @@ class GapProposal:
     error: str | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        """Everything but `latency_ms`, so report files stay byte-stable."""
-        return {
-            "gap_index": self.gap_index,
-            "request_id": self.request_id,
-            "candidate": self.candidate,
-            "similarity_to_next": self.similarity_to_next,
-            "decision": self.decision,
-            "error": self.error,
-        }
+        """Every field but `latency_ms`, in field order, so report files stay byte-stable."""
+        return {name: getattr(self, name) for name in _PROPOSAL_KEYS}
+
+
+_PROPOSAL_KEYS = tuple(f.name for f in fields(GapProposal) if f.name != "latency_ms")
 
 
 @dataclass(frozen=True)
@@ -145,22 +141,15 @@ class ExpansionReport:
             object.__setattr__(self, name, value)
 
     def to_dict(self, include_proposals: bool = True) -> dict[str, Any]:
-        """Everything but `elapsed_ms`, so report files stay byte-stable."""
-        row: dict[str, Any] = {
-            "record_id": self.record_id,
-            "iteration": self.iteration,
-            "input_steps": self.input_steps,
-            "output_steps": self.output_steps,
-            "attempted": self.attempted,
-            "inserted": self.inserted,
-            "invalid": self.invalid,
-            "malformed": self.malformed,
-            "errored": self.errored,
-            "error": self.error,
-        }
+        """Every field but `elapsed_ms`, in field order, so report files stay
+        byte-stable; then `proposals`, unless left out."""
+        row = {name: getattr(self, name) for name in _REPORT_KEYS}
         if include_proposals:
             row["proposals"] = [p.to_dict() for p in self.proposals]
         return row
+
+
+_REPORT_KEYS = tuple(f.name for f in fields(ExpansionReport) if f.name not in ("elapsed_ms", "proposals"))
 
 
 def clean_candidate(raw: str) -> tuple[str, bool]:

@@ -220,9 +220,9 @@ def reassemble(prefix: str, middle: str, suffix: str) -> str:
     return STEP_SEPARATOR.join(part for part in (prefix, middle, suffix) if part)
 
 
-def _round_key(seed: int, source_id: str, round_index: int) -> int:
-    """Stable 64-bit RNG key for one (seed, record, round) draw."""
-    payload = f"{seed}\x1f{source_id}\x1f{round_index}".encode("utf-8")
+def draw_key(seed: int, name: str, index: int) -> int:
+    """Stable 64-bit RNG key for draw `index` of `name` (a record, a problem) under `seed`."""
+    payload = f"{seed}\x1f{name}\x1f{index}".encode("utf-8")
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
 
 
@@ -246,6 +246,6 @@ def sample_fim(
     check_chain(question, steps)
     samples = []
     for r in range(config.rounds):
-        i = random.Random(_round_key(config.seed, source_id, r)).randrange(len(steps))
+        i = random.Random(draw_key(config.seed, source_id, r)).randrange(len(steps))
         samples.append(FimSample(source_id, r, i, question, steps))
     return samples

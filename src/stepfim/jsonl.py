@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, TextIO
 
 
 class JsonlError(ValueError):
@@ -75,10 +75,15 @@ def dumps_line(row: dict[str, Any]) -> str:
     return _ENCODER.encode(row) + "\n"
 
 
+def open_out(path: str) -> TextIO:
+    """`path` opened for writing as every output file is: UTF-8 text, LF line ends."""
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
 def write_jsonl(path: str, rows: Iterable[dict[str, Any]]) -> int:
     """Write rows to path, one per line; returns the row count."""
     count = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with open_out(path) as handle:
         for row in rows:
             handle.write(dumps_line(row))
             count += 1

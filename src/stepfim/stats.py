@@ -13,7 +13,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Any, Iterable
 
-from stepfim.decompose import STEP_SEPARATOR
+from stepfim.decompose import STEP_SEPARATOR, record_field
 
 #: How `stats` counts tokens: words between whitespace.
 TOKENIZER_ID = "whitespace"
@@ -44,13 +44,13 @@ class CorpusStats:
 
     @classmethod
     def from_dict(cls, row: dict[str, Any]) -> "CorpusStats":
-        """Read a summary back; KeyError for a missing field, TypeError for a mistyped
-        one, ValueError for an average that no float holds."""
+        """Read a summary back; TypeError for a mistyped field, ValueError for a
+        missing one or an average that no float holds."""
         types = {"samples": (int,), "avg_tokens": (int, float), "total_tokens": (int,),
                  "avg_steps": (int, float), "tokenizer_id": (str,)}
         values = {}
         for name, allowed in types.items():
-            value = row[name]
+            value = record_field(row, name)
             if isinstance(value, bool) or not isinstance(value, allowed):
                 raise TypeError(f"{name} must be {' or '.join(t.__name__ for t in allowed)}, "
                                 f"not {type(value).__name__}")
@@ -95,19 +95,21 @@ def stats(records: Iterable[dict[str, Any]]) -> CorpusStats:
 
     Tokens are counted on the joined solution steps only; the question
     is context, not training payload. Raises EmptyCorpus on zero records
-    and MalformedRecord when a record's steps are not a list of strings.
+    and MalformedRecord when a record's steps are missing or not a list of strings.
     """
     samples = 0
     total_tokens = 0
     total_steps = 0
     for row in records:
-        steps = row.get("steps")
-        if not isinstance(steps, (list, tuple)):
-            raise MalformedRecord(f"record {samples + 1}: steps is a {type(steps).__name__}, not a list")
         try:
+            steps = record_field(row, "steps")
+            if not isinstance(steps, (list, tuple)):
+                raise ValueError(f"steps is a {type(steps).__name__}, not a list")
             text = STEP_SEPARATOR.join(steps)
         except TypeError as exc:
             raise MalformedRecord(f"record {samples + 1}: steps must all be strings: {exc}") from exc
+        except ValueError as exc:
+            raise MalformedRecord(f"record {samples + 1}: {exc}") from None
         samples += 1
         total_steps += len(steps)
         total_tokens += len(text.split())

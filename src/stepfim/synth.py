@@ -12,7 +12,6 @@ an explicit stack, so no nesting depth is too deep for it.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 import re
@@ -21,6 +20,7 @@ import threading
 from dataclasses import dataclass
 
 from stepfim.decompose import StepChain
+from stepfim.fim import draw_key
 from stepfim.similarity import similarity
 
 ALLOWED_OPERATORS = ("+", "-", "*")
@@ -113,12 +113,6 @@ def _apply(a: int, op: str, b: int) -> int:
     raise SpecError(f"unknown operator {op!r}")
 
 
-def _problem_rng(seed: int, index: int, retry: int = 0) -> random.Random:
-    payload = f"{seed}\x1f{index}\x1f{retry}".encode("utf-8")
-    key = int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
-    return random.Random(key)
-
-
 def _drop_indices(rng: random.Random, spec: CorpusSpec, n_ops: int) -> tuple[int, ...]:
     """Fine-chain computation indices to omit from the coarse chain.
 
@@ -176,7 +170,7 @@ def generate(spec: CorpusSpec) -> list[SyntheticProblem]:
     problems = []
     for idx in range(spec.count):
         for retry in range(_MAX_PROBLEM_RETRIES):
-            rng = _problem_rng(spec.seed, idx, retry)
+            rng = random.Random(draw_key(spec.seed, str(idx), retry))
             built = _build_steps(rng, spec)
             if built is not None:
                 break

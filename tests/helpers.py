@@ -57,7 +57,7 @@ from stepfim.decompose import (
     UnbalancedMath,
     _word_before,
 )
-from stepfim.fim import SPECIAL_TOKENS, SpecialTokenCollision, _round_key, format_psm
+from stepfim.fim import SPECIAL_TOKENS, SpecialTokenCollision, draw_key, format_psm
 from stepfim.synth import (
     ALLOWED_OPERATORS,
     ANSWER_TEMPLATE,
@@ -365,7 +365,7 @@ def reference_sample_fim(chain, question, config, source_id=""):
     n = len(texts)
     samples = []
     for r in range(config.rounds):
-        rng = random.Random(_round_key(config.seed, source_id, r))
+        rng = random.Random(draw_key(config.seed, source_id, r))
         i = rng.randrange(n)
         prefix = STEP_SEPARATOR.join(texts[:i])
         middle = texts[i]

@@ -70,7 +70,8 @@ def synth_dir(tmp_path):
 
 @pytest.mark.parametrize("field", ["question", "steps", "solution"])
 def test_a_missing_field_is_named_by_each_subcommand_that_reads_it(tmp_path, capsys, field):
-    # decompose reads question and solution; build-fim and expand read question and steps
+    # decompose reads question and solution; build-fim and expand read question and steps;
+    # stats reads steps
     row = {"id": "a", "question": "What is the value of (2 + 3) * 4?",
            "solution": "Compute 2 + 3 = 5. The answer is 20.",
            "steps": ["Compute 2 + 3 = 5.", "The answer is 20."]}
@@ -92,6 +93,11 @@ def test_a_missing_field_is_named_by_each_subcommand_that_reads_it(tmp_path, cap
                      "--backend", "oracle"]) == 0
     (line,) = _read_jsonl(aside)[1:]
     assert line["error"] == (f"ValueError: {reason}" if field != "solution" else None)
+
+    # stats skips no record, so it exits 2
+    assert cli.main(["stats", "--input", str(inp)]) == (2 if field == "steps" else 0)
+    if field == "steps":
+        assert capsys.readouterr().err.rstrip().endswith(f"error: record 1: {reason}")
 
 
 class TestGenSynth:
@@ -370,6 +376,16 @@ class TestExpand:
         )
         assert result.returncode == 0, result.stderr
         assert out.read_bytes() == (synth_dir / "fine.jsonl").read_bytes()
+
+    def test_report_lines_keep_their_keys_in_order(self, synth_dir, tmp_path, capsys):
+        out, report = tmp_path / "expanded.jsonl", tmp_path / "report.jsonl"
+        assert cli.main(["expand", "--input", str(synth_dir / "coarse.jsonl"), "--output", str(out),
+                         "--report", str(report), "--backend", "oracle"]) == 0, capsys.readouterr().err
+        line = _read_jsonl(report)[1]
+        assert list(line) == ["record_id", "iteration", "input_steps", "output_steps", "attempted",
+                              "inserted", "invalid", "malformed", "errored", "error", "proposals"]
+        assert list(line["proposals"][0]) == ["gap_index", "request_id", "candidate",
+                                              "similarity_to_next", "decision", "error"]
 
     def test_a_fixture_recorded_by_request_id_for_replays_two_rounds(self, synth_dir, tmp_path):
         """The engine's ids, built from one escape a round, are `request_id_for`'s."""
@@ -1085,6 +1101,20 @@ class TestStatsAndCompare:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field", ["samples", "avg_tokens", "total_tokens", "avg_steps",
+                                       "tokenizer_id"])
+    def test_compare_names_a_missing_summary_field(self, tmp_path, capsys, field):
+        summary = {"samples": 2, "avg_tokens": 3.5, "total_tokens": 7, "avg_steps": 2.0,
+                   "tokenizer_id": "whitespace"}
+        del summary[field]
+        before, out = tmp_path / "before.json", tmp_path / "delta.json"
+        before.write_text(json.dumps(summary), encoding="utf-8")
+        argv = ["compare", "--before", str(before), "--after", str(before), "--output", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.rstrip().endswith(f"error: {before}: not a stats summary: {field} is missing"), err
+        assert not out.exists()
+
     def test_stats_on_empty_corpus_exits_two(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("", encoding="utf-8")
@@ -1438,4 +1468,19 @@ class TestGoldenPrep:
                          "--output", out["stats.json"]]) == 0
         got = {name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
                for name, path in out.items()}
+        assert got == want
+
+
+class TestGoldenSynth:
+    def test_gen_synth_matches_the_checked_in_hashes(self, tmp_path, capsys):
+        """Both drop patterns; the hashes pin the seeded draws of `gen-synth`
+        across versions, which reruns of one version cannot."""
+        want = dict(line.split()[::-1] for line in
+                    (DATA / "gen_synth.sha256").read_text(encoding="ascii").splitlines())
+        runs = {"every-other": [],
+                "random-k": ["--drop", "random-k", "--drop-k", "2", "--ops-min", "5", "--ops-max", "9"]}
+        for name, flags in runs.items():
+            assert cli.main(["gen-synth", "--count", "40", "--seed", "424242",
+                             "--out", str(tmp_path / name), *flags]) == 0, capsys.readouterr().err
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in want}
         assert got == want

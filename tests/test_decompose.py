@@ -76,6 +76,10 @@ class TestSplitting:
             "Therefore we may reuse the result.",
         ]
 
+    def test_a_title_abbreviation_inside_a_sentence_does_not_split(self):
+        out = texts("This is the rule that Prof. Euler gave for sums. Then we add them up.")
+        assert out == ["This is the rule that Prof. Euler gave for sums.", "Then we add them up."]
+
     @pytest.mark.parametrize(
         "word, splits",
         [
