@@ -3,9 +3,9 @@
 Three kinds:
 
 - http: POSTs a completion-style request to a remote endpoint over the
-  standard library's `http.client`, one keep-alive connection per worker
-  thread. The prompt is the PSM serialization ending at the middle token;
-  stop sequences are the three special tokens.
+  standard library's `http.client`, on one pool of keep-alive connections
+  that all threads share. The prompt is the PSM serialization ending at the
+  middle token; stop sequences are the three special tokens.
 - oracle: answers from the synthetic-corpus ground truth.
 - replay: answers from a recorded fixture file, for offline tests.
 
@@ -126,10 +126,11 @@ class FimBackend(Protocol):
     (it computes its answer in-process), so `expand` runs every fill on the
     calling thread: more threads would only take turns on the interpreter
     lock. A backend without the attribute is taken to wait (a network call,
-    a sleep) and gets `max_in_flight` worker threads. The `expand`
-    subcommand calls a backend's `close()`, if it has one, after the last
-    fill, and `expand_records` calls it when a pooled run stops early, to end
-    the fills that are running; a closed backend must still fill later.
+    a sleep) and gets `max_in_flight` worker threads, which share it and
+    may fill at once; each run starts new ones. The `expand` subcommand
+    calls a backend's `close()`, if it has one, after the last fill, and
+    `expand_records` calls it when a pooled run stops early, to end the
+    fills that are running; a closed backend must still fill later.
     """
 
     def fill(self, request: FimRequest) -> str: ...
@@ -183,11 +184,12 @@ class HttpBackend:
 
     `timeout_ms` is the connection's socket timeout: it bounds the connect
     and each wait for response bytes, not the whole request, so a body that
-    keeps trickling in is read to its end. Each filling thread keeps one
-    keep-alive `http.client` connection, and a failed attempt closes it;
-    `close` closes them all and ends the fills that are running. Proxy
-    variables and ``~/.netrc`` are not read; HTTPS is verified by `ssl`'s
-    default context against the system CA store.
+    keeps trickling in is read to its end. A POST takes an idle keep-alive
+    `http.client` connection or opens one, and gives it back when it ends,
+    closed if the attempt failed, so the backend holds no more connections
+    than it had POSTs at once. `close` closes them all and ends the fills
+    that are running. Proxy variables and ``~/.netrc`` are not read; HTTPS
+    is verified by `ssl`'s default context against the system CA store.
     """
 
     waits = True
@@ -202,7 +204,7 @@ class HttpBackend:
         self._address = (url.hostname, url.port)
         self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
         self._errors = (OSError, http.client.HTTPException)
-        self._local, self._lock, self._connections = threading.local(), threading.Lock(), []
+        self._lock, self._idle = threading.Lock(), []  # the connections that no POST is using
         self._busy: set[Any] = set()  # the connections that a POST is using
         self._closed = threading.Event()
         self._headers = {"Content-Type": "application/json"}
@@ -246,16 +248,14 @@ class HttpBackend:
         raise TransportError(f"completion request failed after {self.config.retry_limit} retries: {last_error}")
 
     def _post(self, data: bytes, closed: threading.Event) -> tuple[int, bytes]:
-        """One POST on this thread's connection, opened on its first call.
+        """One POST on the connection left idle last, or on a new one when none is idle.
 
         While the POST runs its connection is busy: `close` shuts the socket
         down, so a blocked read returns, and leaves the closing to this thread.
         """
         with self._lock:
-            conn = getattr(self._local, "conn", None)
-            if conn is None:
-                conn = self._local.conn = self._connection_class(*self._address, timeout=self.config.timeout_ms / 1000)
-                self._connections.append(conn)
+            conn = self._idle.pop() if self._idle else self._connection_class(
+                *self._address, timeout=self.config.timeout_ms / 1000)
             self._busy.add(conn)
         # a kept-alive connection that the server had closed raises one of these before
         # any status line (http.client.RemoteDisconnected is a ConnectionResetError);
@@ -270,14 +270,15 @@ class HttpBackend:
                 conn.close()
                 response = self._send(conn, data, closed)
             payload = response.read()
+            if response.status != 200:
+                conn.close()
         except BaseException:
             conn.close()
             raise
         finally:
             with self._lock:
                 self._busy.discard(conn)
-        if response.status != 200:
-            conn.close()
+                self._idle.append(conn)
         return response.status, payload
 
     def _send(self, conn: Any, data: bytes, closed: threading.Event) -> Any:
@@ -288,7 +289,7 @@ class HttpBackend:
         return conn.getresponse()
 
     def close(self) -> None:
-        """End the fills that are running and close every thread's connection.
+        """End the fills that are running and close every connection.
 
         A running fill raises TransportError at once, without a retry; a
         later fill opens a new connection.
@@ -298,10 +299,10 @@ class HttpBackend:
         with self._lock:
             self._closed.set()
             self._closed = threading.Event()
-            for conn in self._connections:
-                if conn not in self._busy:
-                    conn.close()
-                elif conn.sock is not None:
+            for conn in self._idle:
+                conn.close()
+            for conn in self._busy:
+                if conn.sock is not None:
                     try:
                         conn.sock.shutdown(socket.SHUT_RDWR)
                     except OSError:  # the peer or this thread has closed it already

@@ -10,10 +10,10 @@ under the same tokenizer_id, so diffs across schemes are refused.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Iterable
 
-from stepfim.decompose import STEP_SEPARATOR, record_field
+from stepfim.decompose import STEP_SEPARATOR, StepChain, record_field
 
 #: How `stats` counts tokens: words between whitespace.
 TOKENIZER_ID = "whitespace"
@@ -28,7 +28,7 @@ class TokenizerMismatch(ValueError):
 
 
 class MalformedRecord(ValueError):
-    """A record's steps are missing or not a list of strings."""
+    """A record's steps are missing or not a step chain."""
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,9 @@ class CorpusStats:
     def from_dict(cls, row: dict[str, Any]) -> "CorpusStats":
         """Read a summary back; TypeError for a mistyped field, ValueError for a
         missing one or an average that no float holds."""
-        types = {"samples": (int,), "avg_tokens": (int, float), "total_tokens": (int,),
-                 "avg_steps": (int, float), "tokenizer_id": (str,)}
         values = {}
-        for name, allowed in types.items():
+        for field in fields(cls):
+            name, allowed = field.name, _JSON_TYPES[field.type]
             value = record_field(row, name)
             if isinstance(value, bool) or not isinstance(value, allowed):
                 raise TypeError(f"{name} must be {' or '.join(t.__name__ for t in allowed)}, "
@@ -61,6 +60,10 @@ class CorpusStats:
                     raise ValueError(f"{name} is past float range") from exc
             values[name] = value
         return cls(**values)
+
+
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}  # by a summary field's annotation
+_COMPARED = ("samples", "avg_tokens", "total_tokens", "avg_steps")  # what `compare` compares, in file order
 
 
 def render_pct(pct: float) -> str:
@@ -79,12 +82,7 @@ class StatsDelta:
     tokenizer_id: str
 
     def formatted(self) -> dict[str, str]:
-        return {
-            "samples": render_pct(self.samples_pct),
-            "avg_tokens": render_pct(self.avg_tokens_pct),
-            "total_tokens": render_pct(self.total_tokens_pct),
-            "avg_steps": render_pct(self.avg_steps_pct),
-        }
+        return {name: render_pct(getattr(self, f"{name}_pct")) for name in _COMPARED}
 
     def to_dict(self) -> dict[str, Any]:
         return {**asdict(self), "formatted": self.formatted()}
@@ -95,24 +93,20 @@ def stats(records: Iterable[dict[str, Any]]) -> CorpusStats:
 
     Tokens are counted on the joined solution steps only; the question
     is context, not training payload. Raises EmptyCorpus on zero records
-    and MalformedRecord when a record's steps are missing or not a list of strings.
+    and MalformedRecord when a record's steps are missing or break the
+    `StepChain` rule, as `build-fim` and `expand` do.
     """
     samples = 0
     total_tokens = 0
     total_steps = 0
     for row in records:
         try:
-            steps = record_field(row, "steps")
-            if not isinstance(steps, (list, tuple)):
-                raise ValueError(f"steps is a {type(steps).__name__}, not a list")
-            text = STEP_SEPARATOR.join(steps)
-        except TypeError as exc:
-            raise MalformedRecord(f"record {samples + 1}: steps must all be strings: {exc}") from exc
+            steps = StepChain.from_texts(record_field(row, "steps")).texts
         except ValueError as exc:
             raise MalformedRecord(f"record {samples + 1}: {exc}") from None
         samples += 1
         total_steps += len(steps)
-        total_tokens += len(text.split())
+        total_tokens += len(STEP_SEPARATOR.join(steps).split())
     if samples == 0:
         raise EmptyCorpus("no records to summarize")
     return CorpusStats(
@@ -144,10 +138,5 @@ def diff_stats(before: CorpusStats, after: CorpusStats) -> StatsDelta:
         raise TokenizerMismatch(
             f"before counted with {before.tokenizer_id!r}, after with {after.tokenizer_id!r}"
         )
-    return StatsDelta(
-        samples_pct=_pct("samples", before.samples, after.samples),
-        avg_tokens_pct=_pct("avg_tokens", before.avg_tokens, after.avg_tokens),
-        total_tokens_pct=_pct("total_tokens", before.total_tokens, after.total_tokens),
-        avg_steps_pct=_pct("avg_steps", before.avg_steps, after.avg_steps),
-        tokenizer_id=before.tokenizer_id,
-    )
+    pcts = {f"{name}_pct": _pct(name, getattr(before, name), getattr(after, name)) for name in _COMPARED}
+    return StatsDelta(**pcts, tokenizer_id=before.tokenizer_id)

@@ -450,7 +450,8 @@ class StubCompletionServer:
     headers and the client's (host, port), which names the connection the
     request came on. By default every response closes its connection
     (HTTP/1.0); with `keep_alive=True` connections stay open (HTTP/1.1,
-    TCP_NODELAY) until the client closes them or `drop_connections` does.
+    TCP_NODELAY) until the client closes them or `drop_connections` does,
+    and `open_connections` counts them.
     """
 
     def __init__(self, script: list[tuple[int, object]] | Callable[[object], tuple[int, object]],
@@ -482,6 +483,13 @@ class StubCompletionServer:
             for conn in self._server.open:
                 with contextlib.suppress(OSError):  # the client may have closed it first
                     conn.shutdown(socket.SHUT_RDWR)
+
+    @property
+    def open_connections(self) -> int:
+        """The keep-alive connections that a handler serves: a client's close is counted
+        once the handler has read the end of the stream, a moment later."""
+        with self._server.lock:
+            return len(self._server.open)
 
     @property
     def url(self) -> str:

@@ -84,6 +84,31 @@ MUTANTS = [
     # another separator in the seeded-draw key changes every gen-synth corpus
     Mutant("fim.py", r'f"{seed}\x1f{name}\x1f{index}"', r'f"{seed}\x1e{name}\x1f{index}"',
            (f"{CLI}::TestGoldenSynth::test_gen_synth_matches_the_checked_in_hashes",)),
+    # exit codes, one mutant per rule of the cli module docstring:
+    # an unreachable endpoint exits 2, not 3
+    Mutant("cli.py", 'except BackendUnreachable as exc:\n        _note(f"error: {exc}")\n        return 3',
+           'except BackendUnreachable as exc:\n        _note(f"error: {exc}")\n        return 2',
+           (f"{CLI}::TestExpand::test_unreachable_endpoint_exits_three",)),
+    # an input file that is not JSON lines of UTF-8 exits 1, as a usage error
+    Mutant("cli.py", "except (DataError, JsonlError, EmptyCorpus,", "except (DataError, EmptyCorpus,",
+           (f"{CLI}::TestExitCodesAndConfig::test_input_that_is_not_utf8_exits_two",)),
+    # an in-process backend that failed every gap exits 3, as if unreachable
+    Mutant("cli.py", 'return 3 if bconf.kind == "http" else 2', "return 3",
+           (f"{CLI}::TestExpand::test_in_process_backend_failing_every_gap_exits_two",)),
+    # Ctrl-C exits 1, not 130
+    Mutant("cli.py", "        return 130\n", "        return 1\n",
+           (f"{CLI}::TestExpand::test_ctrl_c_on_a_pooled_http_run_ends_the_running_requests",)),
+    # a worker thread that cannot start escapes as a traceback, not exit 2
+    Mutant("cli.py", 'raise OSError(f"--max-in-flight {econf.max_in_flight}: {exc}") from exc', "raise",
+           (f"{CLI}::TestExpand::test_a_worker_thread_that_cannot_start_exits_two",)),
+    # a usage error exits 2, argparse's own code
+    Mutant("cli.py", 'self.exit(1, f"{self.prog}: error: {message}\\n")',
+           'self.exit(2, f"{self.prog}: error: {message}\\n")',
+           (f"{CLI}::TestExitCodesAndConfig::test_unknown_flag_exits_one",)),
+    # the http backend never gives a connection back to its pool
+    Mutant("backends.py", "                self._idle.append(conn)\n", "",
+           ("tests/test_backends.py::TestKeepAliveConnections::"
+            "test_a_backend_reused_across_pooled_runs_keeps_one_connection_per_slot",)),
 ]
 
 

@@ -55,6 +55,14 @@ def _http_config(url: str, **kwargs) -> BackendConfig:
     return BackendConfig(**defaults)
 
 
+def _eventually(holds, timeout: float = 30.0) -> bool:
+    """Whether `holds()` is true within `timeout` seconds, asked every 10 ms."""
+    deadline = time.monotonic() + timeout
+    while not holds() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return holds()
+
+
 def _read_request(conn: socket.socket) -> None:
     """Read one HTTP request off a raw connection: its head, then Content-Length bytes."""
     conn.settimeout(30)
@@ -460,14 +468,20 @@ class TestKeepAliveConnections:
             assert time.perf_counter() - started < 2
 
     def test_close_closes_every_threads_connection(self):
+        in_flight = threading.Barrier(8, timeout=30)
+
+        def script(body):
+            in_flight.wait()  # so each round of 8 POSTs is in flight at once, on 8 connections
+            return 200, {"completion": "ok"}
+
         def fill_three_times():
             for _ in range(3):
                 backend.fill(_request())
 
         switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # more thread switches, for a lost update to the list to show
+        sys.setswitchinterval(1e-6)  # more thread switches, for a lost update to the pool to show
         try:
-            with StubCompletionServer([(200, {"completion": "ok"})], keep_alive=True) as server:
+            with StubCompletionServer(script, keep_alive=True) as server:
                 backend = HttpBackend(_http_config(server.url))
                 threads = [threading.Thread(target=fill_three_times) for _ in range(8)]
                 for thread in threads:
@@ -475,13 +489,31 @@ class TestKeepAliveConnections:
                 for thread in threads:
                     thread.join(timeout=30)
                     assert not thread.is_alive()
+                assert server.open_connections == 8
                 backend.close()
                 assert len(server.seen) == 24
                 assert len({seen["client_address"] for seen in server.seen}) == 8
-                assert len(backend._connections) == 8
-                assert all(conn.sock is None for conn in backend._connections)
+                assert _eventually(lambda: server.open_connections == 0)
         finally:
             sys.setswitchinterval(switch)
+
+    def test_a_backend_reused_across_pooled_runs_keeps_one_connection_per_slot(self):
+        rows = [{"id": p.id, "question": p.question, "steps": list(p.coarse_chain.texts)}
+                for p in generate(CorpusSpec(count=8, seed=3))]
+        with StubCompletionServer([(200, {"completion": "ok"})], keep_alive=True) as server:
+            backend = HttpBackend(_http_config(server.url))
+            try:
+                for _ in range(5):
+                    out = list(expand_records(rows, backend, ExpansionConfig(max_in_flight=4)))
+                    assert [row["id"] for row, _ in out] == [row["id"] for row in rows]
+                    assert all(proposal.decision != BACKEND_ERROR for _, reports in out
+                               for report in reports for proposal in report.proposals)
+                    assert server.open_connections <= 4
+            finally:
+                backend.close()
+            # every run took its connections from the pool that the runs before it left idle
+            assert len({seen["client_address"] for seen in server.seen}) <= 4
+            assert _eventually(lambda: server.open_connections == 0)
 
 
 def test_the_stub_prints_nothing_for_a_client_that_hung_up(capfd):

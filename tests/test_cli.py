@@ -1120,6 +1120,22 @@ class TestStatsAndCompare:
         empty.write_text("", encoding="utf-8")
         assert run_cli("stats", "--input", str(empty)).returncode == 2
 
+    @pytest.mark.parametrize("steps, reason", [
+        ([], "StepChain needs at least one step"),
+        (["Compute 2 + 3 = 5.", ""], "step 1 is empty or untrimmed"),
+        ([" padded "], "step 0 is empty or untrimmed"),
+        (["Compute 2 + 3 = 5.", 7], "step 1 is a int, not a string"),
+    ], ids=["no-step", "empty-step", "untrimmed-step", "non-string-step"])
+    def test_stats_refuses_a_chain_that_build_fim_and_expand_refuse(self, tmp_path, capsys, steps,
+                                                                    reason):
+        inp = tmp_path / "in.jsonl"
+        _write_jsonl(inp, [{"id": "a", "question": "What is 2 + 3?", "steps": steps},
+                           {"id": "b", "question": "What is 2 + 3?", "steps": ["Compute 2 + 3 = 5."]}])
+        assert cli.main(["stats", "--input", str(inp)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.rstrip().endswith(f"error: record 1: {reason}"), captured.err
+
 
 class TestExitCodesAndConfig:
     def test_help_exits_zero(self):
