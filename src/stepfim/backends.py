@@ -116,21 +116,24 @@ class BackendConfig:
         for name, low in lows.items():
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
+        # a longer wait overflows `socket.settimeout` and `Event.wait`
+        longest_ms = threading.TIMEOUT_MAX * 1000
+        if self.timeout_ms > longest_ms:
+            raise ValueError(f"timeout_ms must be <= {longest_ms:.0f}")
+        if self.backoff_ms * self.retry_limit > longest_ms:
+            raise ValueError(f"backoff_ms times retry_limit, the longest backoff, "
+                             f"must be <= {longest_ms:.0f}")
 
 
 class FimBackend(Protocol):
     """Anything with a `fill` method.
 
-    A backend may also set the class attribute `waits`. `waits = False`
-    declares that a fill never waits on anything outside the interpreter
-    (it computes its answer in-process), so `expand` runs every fill on the
-    calling thread: more threads would only take turns on the interpreter
-    lock. A backend without the attribute is taken to wait (a network call,
-    a sleep) and gets `max_in_flight` worker threads, which share it and
-    may fill at once; each run starts new ones. The `expand` subcommand
-    calls a backend's `close()`, if it has one, after the last fill, and
-    `expand_records` calls it when a pooled run stops early, to end the
-    fills that are running; a closed backend must still fill later.
+    At `max_in_flight` N above 1, `expand_records` shares the backend
+    among N worker threads, which may fill at once; each run starts new
+    ones. The `expand` subcommand calls a backend's `close()`, if it has
+    one, after the last fill, and `expand_records` calls it when a pooled
+    run stops early, to end the fills that are running; a closed backend
+    must still fill later.
     """
 
     def fill(self, request: FimRequest) -> str: ...
@@ -139,16 +142,12 @@ class FimBackend(Protocol):
 class OracleBackend:
     """Perfect filler for synthetic questions; pure and thread-safe."""
 
-    waits = False
-
     def fill(self, request: FimRequest) -> str:
         return synth.oracle_fill(request.question, request.prefix_steps, request.suffix_steps)
 
 
 class ReplayBackend:
     """Serves recorded responses keyed by request_id."""
-
-    waits = False
 
     def __init__(self, mapping: dict[str, str]):
         self._mapping = mapping
@@ -192,7 +191,6 @@ class HttpBackend:
     is verified by `ssl`'s default context against the system CA store.
     """
 
-    waits = True
     RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 
     def __init__(self, config: BackendConfig):

@@ -27,7 +27,7 @@ from urllib.parse import urlsplit
 
 from stepfim.backends import BACKEND_KINDS, BackendConfig, BadFixture, make_backend
 from stepfim.decompose import DecomposeConfig, chain_record, decompose, record_field, record_id, record_question
-from stepfim.expand import ExpansionConfig, WorkerStartError, expand_records, fill_slots
+from stepfim.expand import ExpansionConfig, WorkerStartError, expand_records
 from stepfim.fim import SamplerConfig, sample_fim, samples_jsonl
 from stepfim.jsonl import JsonlError, dumps_line, open_out, read_json, read_jsonl
 from stepfim.stats import CorpusStats, EmptyCorpus, MalformedRecord, diff_stats, stats
@@ -99,7 +99,7 @@ def build_parser() -> _Parser:
                    default=ExpansionConfig.include_leading_gap,
                    help="also fill the gap before the first step")
     p.add_argument("--max-in-flight", type=int, default=ExpansionConfig.max_in_flight,
-                   help="worker threads for a backend that waits (http), each expanding "
+                   help="worker threads for the http backend, each expanding "
                         "one whole record at a time, its gaps one by one; oracle and replay "
                         "fill one gap at a time on the main thread; output stays in input "
                         "order, reading up to 4 records per worker ahead (default %(default)s)")
@@ -320,7 +320,7 @@ def cmd_build_fim(cfg: dict[str, Any]) -> int:
     return 0
 
 
-def _probe_endpoint(url: str, timeout_s: float = 5.0) -> None:
+def _probe_endpoint(url: str, timeout_s: float) -> None:
     """Connect once; `BackendConfig` has checked that the URL has a host."""
     import socket  # only an http run opens one
 
@@ -335,10 +335,12 @@ def _probe_endpoint(url: str, timeout_s: float = 5.0) -> None:
 def cmd_expand(cfg: dict[str, Any]) -> int:
     bconf = BackendConfig(kind=cfg["backend"], **_fields_of(BackendConfig, cfg))
     if bconf.kind == "http":
-        _probe_endpoint(bconf.endpoint_url)
+        _probe_endpoint(bconf.endpoint_url, bconf.timeout_ms / 1000)
     backend = make_backend(bconf)
     econf = ExpansionConfig(**_fields_of(ExpansionConfig, cfg))
-    slots = fill_slots(backend, econf)
+    if bconf.kind != "http":  # in-process fills would only take turns on the interpreter lock
+        econf = dataclasses.replace(econf, max_in_flight=1)
+    slots = econf.max_in_flight
 
     counts = {"records": 0, "failed_records": 0, "inserted": 0, "invalid": 0,
               "malformed": 0, "errored": 0}

@@ -13,14 +13,11 @@ inserting the valid candidates; `expand_iteratively` runs
 `config.iterations` such rounds; `expand_records` runs
 `expand_iteratively` on each record of a stream. Each reaches the next
 through this module's globals, so a wrapper set on either inner call
-sees every round of a run. For a backend whose fills wait (http, or any
-backend without `waits = False`), `expand_records` gives whole records
-to `max_in_flight` pool workers, earliest first, reads records at most 4
-per worker ahead and hands them back in input order, raising a fill's
-BaseException in its record's turn. An in-process backend (oracle,
-replay) never waits, so its records are expanded on the calling thread
-whatever `max_in_flight` is: under the interpreter lock more threads
-would only take turns. Output never depends on `max_in_flight` or on
+sees every round of a run. At `max_in_flight` 1, `expand_records`
+expands every record on the calling thread; at N it gives whole records
+to N pool workers, earliest first, reads records at most 4 per worker
+ahead and hands them back in input order, raising a fill's BaseException
+in its record's turn. Output never depends on `max_in_flight` or on
 which request finished first.
 
 Decisions recorded per gap:
@@ -199,13 +196,6 @@ def _propose(
     return GapProposal(gap_index, request.request_id, cleaned, outcome.score, decision, latency_ms)
 
 
-def fill_slots(backend: FimBackend, config: ExpansionConfig) -> int:
-    """Fills a run keeps going at once: `max_in_flight`, or 1 for a backend
-    that declares `waits = False`, whose fills would only take turns on the
-    interpreter lock."""
-    return config.max_in_flight if getattr(backend, "waits", True) else 1
-
-
 def expand_chain(
     question: str,
     chain: StepChain,
@@ -308,12 +298,13 @@ def expand_records(
 
     Each record goes through `expand_iteratively`. This is the one
     expansion path for the CLI and for library callers; corpus totals are
-    the caller's sum over the yielded reports. With one fill slot (see
-    `fill_slots`) every record is expanded on the calling thread. With N
-    slots, N pool workers each expand whole records, earliest first,
-    filling a record's gaps one at a time; records are read at most 4 per
-    slot ahead of the one yielded next, and the run ends with a tail of at
-    most one record per worker. Stopping (the generator closed, an input
+    the caller's sum over the yielded reports. At `max_in_flight` 1 every
+    record is expanded on the calling thread; pass 1 for an in-process
+    backend, whose fills would only take turns on the interpreter lock. At
+    N, N pool workers each expand whole records, earliest first, filling a
+    record's gaps one at a time; records are read at most 4 per worker
+    ahead of the one yielded next, and the run ends with a tail of at most
+    one record per worker. Stopping (the generator closed, an input
     error, a fill's BaseException, which is raised here in its record's
     turn, or a worker thread that cannot start, which raises
     `WorkerStartError`) calls the backend's `close()`, if it has one, so
@@ -327,7 +318,7 @@ def expand_records(
     """
     if config is None:
         config = ExpansionConfig()
-    slots = fill_slots(backend, config)
+    slots = config.max_in_flight
     if slots == 1:
         for row in records:
             yield _expand_row(row, backend, config)

@@ -105,6 +105,17 @@ MUTANTS = [
     Mutant("cli.py", 'self.exit(1, f"{self.prog}: error: {message}\\n")',
            'self.exit(2, f"{self.prog}: error: {message}\\n")',
            (f"{CLI}::TestExitCodesAndConfig::test_unknown_flag_exits_one",)),
+    # oracle and replay get the flag's max_in_flight, so a fill-only wrapper runs on the pool
+    Mutant("cli.py", "econf = dataclasses.replace(econf, max_in_flight=1)",
+           "econf = dataclasses.replace(econf, max_in_flight=econf.max_in_flight)",
+           (f"{CLI}::TestInProcessFills::test_oracle_and_replay_fill_on_the_calling_thread",)),
+    # a timeout or backoff past threading.TIMEOUT_MAX is taken, and overflows in each gap
+    Mutant("backends.py", "longest_ms = threading.TIMEOUT_MAX * 1000", 'longest_ms = float("inf")',
+           (f"{CLI}::TestExpand::test_a_wait_longer_than_the_runtime_allows_exits_one",)),
+    # the endpoint probe connects within a fixed 5 s, whatever --timeout-ms is
+    Mutant("cli.py", "_probe_endpoint(bconf.endpoint_url, bconf.timeout_ms / 1000)",
+           "_probe_endpoint(bconf.endpoint_url, 5.0)",
+           (f"{CLI}::TestExpand::test_the_probe_connects_within_timeout_ms",)),
     # the http backend never gives a connection back to its pool
     Mutant("backends.py", "                self._idle.append(conn)\n", "",
            ("tests/test_backends.py::TestKeepAliveConnections::"

@@ -593,7 +593,7 @@ def test_runs_without_a_pool_load_neither_the_pool_nor_socket(tmp_path):
         "from stepfim.backends import OracleBackend\n"
         "from stepfim.expand import ExpansionConfig, expand_records\n"
         "from stepfim.jsonl import read_jsonl\n"
-        "class Waiting:  # a library backend without `waits = False`\n"
+        "class Waiting:  # a library backend at max_in_flight 4 runs on the pool\n"
         "    def fill(self, request):\n"
         "        time.sleep(0.001)\n"
         "        return OracleBackend().fill(request)\n"

@@ -18,8 +18,8 @@ from urllib.parse import urlsplit
 import pytest
 from helpers import StubCompletionServer
 
-from stepfim import backends, cli, synth
-from stepfim.backends import OracleBackend, ReplayBackend, request_id_for
+from stepfim import cli, synth
+from stepfim.backends import OracleBackend, request_id_for
 
 
 def run_cli(*args: str, timeout: float = 120):
@@ -476,7 +476,7 @@ class TestExpand:
         assert result.returncode == 0, result.stderr
         assert "1 inserted" in result.stderr
         assert f"{len(rows) + 1} records ({len(rows)} failed)" in result.stderr
-        # the oracle never waits, so it fills one gap at a time at the default max_in_flight
+        # the CLI runs the oracle on one slot at the default max_in_flight
         assert result.stderr.rstrip().endswith("s, 1 request in flight at most")
         assert _read_jsonl(out)[:-1] == rows
         *failed, last = _read_jsonl(report)[1:]
@@ -515,7 +515,7 @@ class TestExpand:
             assert result.returncode == 3, result.stderr
             assert len(server.seen) == posts
             assert "1 errored" in result.stderr
-            # http waits on the network, so it keeps max_in_flight workers
+            # http keeps max_in_flight workers
             assert "s, 4 requests in flight at most" in result.stderr
             assert result.stderr.rstrip().endswith("error: every gap ended in backend_error (1 attempted)")
         (line,) = _read_jsonl(report)[1:]
@@ -821,13 +821,47 @@ class TestExpand:
         assert result.returncode == 1
         assert "eta" in result.stderr
 
+    @pytest.mark.parametrize("flag", ["--timeout-ms", "--backoff-ms"])
+    def test_a_wait_longer_than_the_runtime_allows_exits_one(self, tmp_path, capsys, flag):
+        # 1e12 s is past threading.TIMEOUT_MAX, where socket.settimeout and Event.wait overflow
+        inp, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        _write_jsonl(inp, [CHAIN])
+        with StubCompletionServer([(503, {"error": "overloaded"})]) as server:
+            code = cli.main(["expand", "--input", str(inp), "--output", str(out), "--backend", "http",
+                             "--endpoint-url", server.url, flag, "1000000000000000"])
+            assert server.seen == []
+        err = capsys.readouterr().err
+        assert code == 1, err
+        field = flag[2:].replace("-", "_")
+        assert err.splitlines()[-1].startswith(f"error: {field} ")
+
+    def test_the_probe_connects_within_timeout_ms(self, tmp_path, capsys, monkeypatch):
+        inp, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        _write_jsonl(inp, [CHAIN])
+        timeouts = []
+        create_connection = socket.create_connection
+
+        def noting_connect(address, timeout, *args, **kwargs):
+            timeouts.append(timeout)
+            return create_connection(address, timeout, *args, **kwargs)
+
+        with StubCompletionServer([(200, {"completion": "Write down both numbers."})]) as server:
+            monkeypatch.setattr(socket, "create_connection", noting_connect)
+            code = cli.main(["expand", "--input", str(inp), "--output", str(out), "--backend", "http",
+                             "--endpoint-url", server.url, "--timeout-ms", "1234"])
+            monkeypatch.undo()
+        assert code == 0, capsys.readouterr().err
+        assert timeouts == [1.234, 1.234]  # the probe's, then the POST's
+
 
 class LatencyOracle:
     """The oracle behind a sleep that is longest for the earliest records.
 
     So gaps finish roughly in reverse input order, and a scheduler that
     handed records back as they completed would reorder the output. Also
-    records the most fills ever running at once.
+    records the most fills ever running at once. The CLI pools `http` runs
+    alone, so a test sets it as an `http` run's backend, with a stub server
+    that answers the endpoint probe and gets no POST.
     """
 
     def __init__(self, questions: list[str]):
@@ -858,18 +892,20 @@ class TestExpandScheduling:
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            for mif in (1, 4, 64):
-                backend = LatencyOracle([row["question"] for row in rows])
-                monkeypatch.setattr(cli, "make_backend", lambda config, backend=backend: backend)
-                out, report = tmp_path / f"out{mif}.jsonl", tmp_path / f"report{mif}.jsonl"
-                code = cli.main([
-                    "expand", "--input", str(synth / "coarse.jsonl"), "--output", str(out),
-                    "--report", str(report), "--backend", "oracle", "--iterations", "2",
-                    "--max-in-flight", str(mif),
-                ])
-                assert code == 0
-                config, _, body = report.read_bytes().partition(b"\n")
-                runs[mif] = out.read_bytes(), body, json.loads(config), backend.peak
+            with StubCompletionServer([(500, {})]) as server:
+                for mif in (1, 4, 64):
+                    backend = LatencyOracle([row["question"] for row in rows])
+                    monkeypatch.setattr(cli, "make_backend", lambda config, backend=backend: backend)
+                    out, report = tmp_path / f"out{mif}.jsonl", tmp_path / f"report{mif}.jsonl"
+                    code = cli.main([
+                        "expand", "--input", str(synth / "coarse.jsonl"), "--output", str(out),
+                        "--report", str(report), "--backend", "http", "--endpoint-url", server.url,
+                        "--iterations", "2", "--max-in-flight", str(mif),
+                    ])
+                    assert code == 0
+                    config, _, body = report.read_bytes().partition(b"\n")
+                    runs[mif] = out.read_bytes(), body, json.loads(config), backend.peak
+                assert server.seen == []
         finally:
             sys.setswitchinterval(switch)
 
@@ -888,44 +924,34 @@ class TestExpandScheduling:
 
 class TestInProcessFills:
     @pytest.mark.parametrize("mif", [4, 64])
-    def test_oracle_and_replay_fill_on_the_calling_thread(self, tmp_path, monkeypatch, mif):
+    def test_oracle_and_replay_fill_on_the_calling_thread(self, tmp_path, monkeypatch, capsys, mif):
         out_dir = tmp_path / "synth"
         assert run_cli("gen-synth", "--count", "30", "--seed", "8", "--out", str(out_dir),
                        "--ops-min", "3", "--ops-max", "6").returncode == 0
         calling, threads_before = threading.get_ident(), threading.active_count()
         fill_threads, thread_counts, fixture = set(), [], {}
+        make_backend = cli.make_backend
 
-        def note_fill():
-            fill_threads.add(threading.get_ident())
-            thread_counts.append(threading.active_count())
+        class FillOnly:  # forwards `fill` alone, as perfbench's TracedBackend does
+            def __init__(self, inner):
+                self._inner = inner
 
-        oracle_fill = synth.oracle_fill
-
-        def noting_oracle_fill(question, prefix_steps, suffix_steps):
-            note_fill()
-            answer = oracle_fill(question, prefix_steps, suffix_steps)
-            fixture[request_id_for(question, prefix_steps, suffix_steps)] = answer
-            return answer
-
-        class NotingReplay(ReplayBackend):
             def fill(self, request):
-                note_fill()
-                return super().fill(request)
+                fill_threads.add(threading.get_ident())
+                thread_counts.append(threading.active_count())
+                fixture[request.request_id] = answer = self._inner.fill(request)
+                return answer
 
-        monkeypatch.setattr(synth, "oracle_fill", noting_oracle_fill)
-        monkeypatch.setattr(backends, "ReplayBackend", NotingReplay)
+        monkeypatch.setattr(cli, "make_backend", lambda config: FillOnly(make_backend(config)))
         fixture_path = tmp_path / "fixture.jsonl"
 
         def run(kind, n):
             out, report = tmp_path / f"{kind}{n}.jsonl", tmp_path / f"{kind}{n}.report.jsonl"
-            argv = ["expand", "--input", str(out_dir / "coarse.jsonl"), "--output", str(out),
-                    "--report", str(report), "--backend", kind, "--iterations", "2",
-                    "--max-in-flight", str(n)]
-            if kind == "replay":
-                argv += ["--fixture-path", str(fixture_path)]
-            assert cli.main(argv) == 0
-            _, _, body = report.read_bytes().partition(b"\n")
-            return out.read_bytes(), body
+            assert cli.main(["expand", "--input", str(out_dir / "coarse.jsonl"), "--output", str(out),
+                             "--report", str(report), "--backend", kind, "--iterations", "2",
+                             "--fixture-path", str(fixture_path), "--max-in-flight", str(n)]) == 0
+            assert capsys.readouterr().err.rstrip().endswith("s, 1 request in flight at most")
+            return out.read_bytes(), report.read_bytes().partition(b"\n")[2]
 
         oracle_serial = run("oracle", 1)
         _write_jsonl(fixture_path, [{"request_id": rid, "response": fixture[rid]}
@@ -975,8 +1001,10 @@ class TestInProcessFills:
         backend = LatencyOracle(questions)
         monkeypatch.setattr(cli, "make_backend", lambda config: backend)
         out = tmp_path / "out.jsonl"
-        assert cli.main(["expand", "--input", str(out_dir / "coarse.jsonl"), "--output", str(out),
-                         "--backend", "oracle", "--iterations", "2", "--max-in-flight", "4"]) == 0
+        with StubCompletionServer([(500, {})]) as server:
+            assert cli.main(["expand", "--input", str(out_dir / "coarse.jsonl"), "--output", str(out),
+                             "--backend", "http", "--endpoint-url", server.url, "--iterations", "2",
+                             "--max-in-flight", "4"]) == 0
         assert out.read_bytes() == (out_dir / "fine.jsonl").read_bytes()
         assert backend.peak > 1  # records did overlap
         assert sorted(parses) == sorted(questions)

@@ -328,7 +328,7 @@ class TestReports:
                  "steps": [f"step {j} of record {i}." for j in range(2 + i % 4)]} for i in range(12)]
         rows.insert(5, {"id": "bad", "question": QUESTION, "steps": ["One.", 2]})
         config = ExpansionConfig(iterations=2, max_in_flight=mif)
-        out = list(expand_records(rows, ChaoticBackend(), config))  # waits: mif 4 runs a pool
+        out = list(expand_records(rows, ChaoticBackend(), config))  # mif 4 runs a pool
         reports = [report for _, reports in out for report in reports]
         (failure,) = [report for report in reports if report.error is not None]
         assert (failure.record_id, failure.input_steps, failure.output_steps) == ("bad", 2, 2)
@@ -445,7 +445,7 @@ class TestRecordStreams:
                         "steps": [COARSE[0], f"{COARSE[1]} {FIM_PREFIX}", COARSE[2]]})
         seen = []
 
-        class Recording(NoveltyBackend):  # waits, so mif 4 fills on pool workers
+        class Recording(NoveltyBackend):  # mif 4 fills on pool workers
             def fill(self, request):
                 seen.append(request)  # one append at a time under the interpreter lock
                 return super().fill(request)
@@ -546,8 +546,8 @@ class TestLayering:
     runs each round through `expand_chain`, both looked up on the module, so
     a wrapper set there (as a tracer sets one) sees every round of a run."""
 
-    @pytest.mark.parametrize("waits", [False, True], ids=["one-slot", "pool"])
-    def test_every_round_goes_through_the_public_calls(self, monkeypatch, waits):
+    @pytest.mark.parametrize("mif", [1, 4], ids=["one-slot", "pool"])
+    def test_every_round_goes_through_the_public_calls(self, monkeypatch, mif):
         calls = {"expand_chain": 0, "expand_iteratively": 0}
         lock = threading.Lock()
 
@@ -564,10 +564,9 @@ class TestLayering:
         for name in calls:
             monkeypatch.setattr(expand, name, counting(name))
         backend = SlowBackend(0.001)
-        backend.waits = waits
         rows = [{"id": f"r{i}", "question": QUESTION, "steps": list((COARSE, FINE)[i % 2])}
                 for i in range(6)]
-        out = list(expand_records(rows, backend, ExpansionConfig(iterations=2, max_in_flight=4)))
+        out = list(expand_records(rows, backend, ExpansionConfig(iterations=2, max_in_flight=mif)))
         assert calls == {"expand_chain": len(rows) * 2, "expand_iteratively": len(rows)}
         assert sum(r.attempted for _, reports in out for r in reports) == backend.started > 0
 
