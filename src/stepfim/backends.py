@@ -85,6 +85,8 @@ class FimRequest:
 
 
 BACKEND_KINDS = ("http", "oracle", "replay")
+# the keys of a replay fixture line, in order: a request's id and the response to it
+_FIXTURE_KEYS = ("request_id", "response")
 
 
 @dataclass(frozen=True)
@@ -156,11 +158,10 @@ class ReplayBackend:
     def from_file(cls, fixture_path: str) -> "ReplayBackend":
         mapping: dict[str, str] = {}
         for entry, row in enumerate(read_jsonl(fixture_path), start=1):
-            rid, response = row.get("request_id"), row.get("response")
+            rid, response = map(row.get, _FIXTURE_KEYS)
             if not isinstance(rid, str) or not isinstance(response, str):
-                raise BadFixture(
-                    f"{fixture_path}: entry {entry} needs a string request_id and response"
-                )
+                raise BadFixture("{}: entry {} needs a string {} and {}".format(
+                    fixture_path, entry, *_FIXTURE_KEYS))
             mapping.setdefault(rid, response)
         return cls(mapping)
 
@@ -212,15 +213,11 @@ class HttpBackend:
                 raise ValueError(f"auth env var {config.auth_token_env} is not set")
             self._headers["Authorization"] = f"Bearer {token}"
 
-    def _prompt(self, request: FimRequest) -> str:
-        prefix = STEP_SEPARATOR.join(request.prefix_steps)
-        suffix = STEP_SEPARATOR.join(request.suffix_steps)
-        return fim.format_prompt(request.question, prefix, suffix)
-
     def fill(self, request: FimRequest) -> str:
         closed = self._closed  # set by the next `close`, which ends this fill at once
         body = {
-            "prompt": self._prompt(request),
+            "prompt": fim.format_prompt(request.question, STEP_SEPARATOR.join(request.prefix_steps),
+                                        STEP_SEPARATOR.join(request.suffix_steps)),
             "stop": list(fim.SPECIAL_TOKENS),
             "max_tokens": self.config.max_new_chars,
             "temperature": 0.0,
@@ -350,7 +347,7 @@ def record_fixtures(
                 continue
             seen.add(rid)
             response = live_backend.fill(request)
-            out.write(dumps_line({"request_id": rid, "response": response}))
+            out.write(dumps_line(dict(zip(_FIXTURE_KEYS, (rid, response)))))
             out.flush()
             written += 1
     return written

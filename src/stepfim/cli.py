@@ -26,8 +26,9 @@ from typing import Any, Callable
 from urllib.parse import urlsplit
 
 from stepfim.backends import BACKEND_KINDS, BackendConfig, BadFixture, make_backend
-from stepfim.decompose import DecomposeConfig, chain_record, decompose, record_field, record_id, record_question
-from stepfim.expand import ExpansionConfig, WorkerStartError, expand_records
+from stepfim.decompose import (DecomposeConfig, chain_line, chain_record, decompose, record_field, record_id,
+                               record_question)
+from stepfim.expand import LOOKAHEAD, ExpansionConfig, WorkerStartError, expand_records
 from stepfim.fim import SamplerConfig, sample_fim, samples_jsonl
 from stepfim.jsonl import JsonlError, dumps_line, open_out, read_json, read_jsonl
 from stepfim.stats import CorpusStats, EmptyCorpus, MalformedRecord, diff_stats, stats
@@ -102,7 +103,7 @@ def build_parser() -> _Parser:
                    help="worker threads for the http backend, each expanding "
                         "one whole record at a time, its gaps one by one; oracle and replay "
                         "fill one gap at a time on the main thread; output stays in input "
-                        "order, reading up to 4 records per worker ahead (default %(default)s)")
+                        f"order, reading up to {LOOKAHEAD} records per worker ahead (default %(default)s)")
     p.add_argument("--retry-limit", type=int, default=BackendConfig.retry_limit,
                    help="HTTP retries of a transient failure after the first attempt "
                         "(http backend; default %(default)s)")
@@ -274,10 +275,7 @@ def cmd_decompose(cfg: dict[str, Any]) -> int:
                 ids[record_id(row)] += 1
                 try:
                     question = record_question(row)
-                    chain = decompose(record_field(row, "solution"), dconf)
-                    line = dumps_line(
-                        {"id": row["id"], "question": question, "steps": list(chain.texts)}
-                    )
+                    line = chain_line(row["id"], question, decompose(record_field(row, "solution"), dconf))
                 except ValueError as exc:
                     rejected += 1
                     if rejects_handle is not None:
@@ -407,9 +405,7 @@ def cmd_gen_synth(cfg: dict[str, Any]) -> int:
             open_out(paths["dropped"]) as dropped:
         for prob in problems:
             for handle, chain in ((coarse, prob.coarse_chain), (fine, prob.fine_chain)):
-                handle.write(dumps_line(
-                    {"id": prob.id, "question": prob.question, "steps": list(chain.texts)}
-                ))
+                handle.write(chain_line(prob.id, prob.question, chain))
             dropped.write(dumps_line({"id": prob.id, "dropped_indices": list(prob.dropped_indices)}))
     _note(f"gen-synth: {len(problems)} problems written to {cfg['out']}")
     return 0

@@ -13,6 +13,8 @@ import re
 from dataclasses import dataclass
 from typing import Any
 
+from stepfim.jsonl import dumps_line
+
 #: Joins the steps of a chain into one text, everywhere: `join`, the
 #: prefix and suffix of FIM samples and prompts, and `stats` token counts.
 STEP_SEPARATOR = "\n"
@@ -127,6 +129,11 @@ def record_question(row: dict[str, Any]) -> str:
 def chain_record(row: dict[str, Any]) -> tuple[str, StepChain]:
     """The question and step chain of a record; ValueError when malformed."""
     return record_question(row), StepChain.from_texts(record_field(row, "steps"))
+
+
+def chain_line(rid: str | int, question: str, chain: StepChain) -> str:
+    """The JSONL line of a step chain, as `chain_record` reads it."""
+    return dumps_line({"id": rid, "question": question, "steps": list(chain.texts)})
 
 
 @dataclass(frozen=True)

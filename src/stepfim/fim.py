@@ -3,8 +3,8 @@
 One source chain yields `rounds` samples; each sample holds out one
 uniformly chosen step as the middle, with everything before it as the
 prefix and everything after as the suffix. Serialization is PSM order:
-
-    <|fim_prefix|>{question}\\n{prefix}<|fim_suffix|>{suffix}<|fim_middle|>{middle}
+the inference prompt, `_PSM_PROMPT` filled with the question, prefix and
+suffix, then the middle.
 
 The loss span (character offsets into the serialized string) covers
 exactly the middle text. A `FimSample` stores only its draw (the middle
@@ -18,14 +18,16 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from json.encoder import encode_basestring
 
 from stepfim.decompose import STEP_SEPARATOR, StepChain
+from stepfim.jsonl import escape
 
 FIM_PREFIX = "<|fim_prefix|>"
 FIM_SUFFIX = "<|fim_suffix|>"
 FIM_MIDDLE = "<|fim_middle|>"
 SPECIAL_TOKENS = (FIM_PREFIX, FIM_SUFFIX, FIM_MIDDLE)
+# the PSM layout up to the middle, with slots for the question, prefix and suffix
+_PSM_PROMPT = f"{FIM_PREFIX}%s\n%s{FIM_SUFFIX}%s{FIM_MIDDLE}"
 
 
 class SpecialTokenCollision(ValueError):
@@ -78,42 +80,33 @@ class FimSample:
     @property
     def psm_text(self) -> str:
         """The sample laid out as `format_psm` lays it out."""
-        return (f"{FIM_PREFIX}{self.question}\n{self.prefix}"
-                f"{FIM_SUFFIX}{self.suffix}{FIM_MIDDLE}{self.middle}")
+        return _PSM_PROMPT % (self.question, self.prefix, self.suffix) + self.middle
 
     @property
     def loss_char_start(self) -> int:
-        lengths = [len(text) for text in self.steps]
-        return _loss_char_start(len(self.question) + sum(lengths), lengths, self.middle_index)
+        return len(self.psm_text) - len(self.middle)
 
     @property
     def loss_char_end(self) -> int:
-        return self.loss_char_start + len(self.steps[self.middle_index])
+        return len(self.psm_text)
 
     def to_dict(self) -> dict:
         return {key: getattr(self, key) for key in _LINE_KEYS}
 
 
 # the characters of a prompt that come from neither the question nor a step
-_PROMPT_TOKEN_CHARS = len(FIM_PREFIX) + 1 + len(FIM_SUFFIX) + len(FIM_MIDDLE)
-
-
-def _loss_char_start(text_chars: int, lengths: list[int], i: int) -> int:
-    """The prompt's length: tokens, and the question and steps (`text_chars` in
-    all, `lengths` each) but middle i and its separators."""
-    separators = len(lengths) - 1 - (i > 0) - (i < len(lengths) - 1)
-    return _PROMPT_TOKEN_CHARS + text_chars - lengths[i] + separators * len(STEP_SEPARATOR)
+_PROMPT_TOKEN_CHARS = len(_PSM_PROMPT % ("", "", ""))
 
 
 # the keys of `to_dict`, in the order of a sample's JSON line
 _LINE_KEYS = ("source_id", "round", "middle_index", "prefix", "suffix", "middle", "psm_text",
               "loss_char_start", "loss_char_end")
 # `dumps_line(sample.to_dict())` with its strings left as %s slots for
-# escaped text: the `_LINE_KEYS` in order, and `psm_text` laid out as
-# `format_psm` does it, its newline already escaped
+# escaped text: the `_LINE_KEYS` in order, and `psm_text` the escaped
+# `_PSM_PROMPT` then the middle
 _SAMPLE_LINE = (
     '{"source_id": "%s", "round": %d, "middle_index": %d, "prefix": "%s", "suffix": "%s", '
-    f'"middle": "%s", "psm_text": "{FIM_PREFIX}%s\\n%s{FIM_SUFFIX}%s{FIM_MIDDLE}%s", '
+    f'"middle": "%s", "psm_text": "{escape(_PSM_PROMPT)}%s", '
     '"loss_char_start": %d, "loss_char_end": %d}\n'
 )
 
@@ -126,9 +119,6 @@ def samples_jsonl(samples: list[FimSample]) -> str:
     escaped and measured once for its run of samples, whose fields are
     joined from them and whose loss offsets come from the lengths.
     """
-    def escape(text: str) -> str:
-        return encode_basestring(text)[1:-1]
-
     sep = escape(STEP_SEPARATOR)
     chain: tuple[str, tuple[str, ...]] | None = None
     lines = []
@@ -137,11 +127,12 @@ def samples_jsonl(samples: list[FimSample]) -> str:
             chain = sample.question, sample.steps
             question, steps = escape(sample.question), [escape(text) for text in sample.steps]
             lengths = [len(text) for text in sample.steps]
-            text_chars = len(sample.question) + sum(lengths)
+            chars = _PROMPT_TOKEN_CHARS + len(sample.question) + len(STEP_SEPARATOR.join(sample.steps))
         i = sample.middle_index
         prefix = sep.join(steps[:i])
         suffix = sep.join(steps[i + 1 :])
-        start = _loss_char_start(text_chars, lengths, i)
+        # the prompt holding every step, less the middle and each separator beside it
+        start = chars - lengths[i] - ((i > 0) + (i < len(lengths) - 1)) * len(STEP_SEPARATOR)
         lines.append(_SAMPLE_LINE % (
             escape(sample.source_id), sample.round, i, prefix, suffix, steps[i],
             question, prefix, suffix, steps[i], start, start + lengths[i],
@@ -181,7 +172,7 @@ def format_prompt(question: str, prefix: str, suffix: str) -> str:
     _check_clean(question, "question")
     _check_clean(prefix, "prefix")
     _check_clean(suffix, "suffix")
-    return f"{FIM_PREFIX}{question}\n{prefix}{FIM_SUFFIX}{suffix}{FIM_MIDDLE}"
+    return _PSM_PROMPT % (question, prefix, suffix)
 
 
 def format_psm(question: str, prefix: str, suffix: str, middle: str) -> tuple[str, int, int]:

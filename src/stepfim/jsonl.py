@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from json.encoder import encode_basestring, encode_basestring_ascii
 from typing import Any, Iterable, Iterator, TextIO
 
 
@@ -26,6 +27,8 @@ def _finite(literal: str) -> float:
 
 _DECODER = json.JSONDecoder(parse_float=_finite, parse_constant=_finite)
 _ENCODER = json.JSONEncoder(ensure_ascii=False)
+# the escape `_ENCODER` applies to each string, called alone: `_ENCODER.encode` of one string costs more
+_ENCODE_STRING = encode_basestring_ascii if _ENCODER.ensure_ascii else encode_basestring
 
 # a \uD800-\uDFFF escape; JSON decodes a lone one, and only a lone one, to a surrogate
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
@@ -73,6 +76,11 @@ def read_json(path: str) -> dict[str, Any]:
 def dumps_line(row: dict[str, Any]) -> str:
     """One record as a single line, non-ASCII kept readable, trailing newline."""
     return _ENCODER.encode(row) + "\n"
+
+
+def escape(text: str) -> str:
+    """`text` as `dumps_line` writes it between a JSON string's quotes."""
+    return _ENCODE_STRING(text)[1:-1]
 
 
 def open_out(path: str) -> TextIO:

@@ -116,6 +116,22 @@ MUTANTS = [
     Mutant("cli.py", "_probe_endpoint(bconf.endpoint_url, bconf.timeout_ms / 1000)",
            "_probe_endpoint(bconf.endpoint_url, 5.0)",
            (f"{CLI}::TestExpand::test_the_probe_connects_within_timeout_ms",)),
+    # the PSM layout puts two newlines after the question, in every sample and prompt alike
+    Mutant("fim.py", '_PSM_PROMPT = f"{FIM_PREFIX}%s\\n%s{FIM_SUFFIX}%s{FIM_MIDDLE}"',
+           '_PSM_PROMPT = f"{FIM_PREFIX}%s\\n\\n%s{FIM_SUFFIX}%s{FIM_MIDDLE}"',
+           ("tests/test_fim.py::TestSerialization::test_psm_layout_and_loss_span",
+            f"{CLI}::TestGoldenPrep::test_decompose_build_fim_and_stats_match_the_checked_in_hashes")),
+    # build-fim escapes non-ASCII text, which dumps_line writes as it is
+    Mutant("jsonl.py", "_ENCODE_STRING = encode_basestring_ascii if _ENCODER.ensure_ascii else encode_basestring",
+           "_ENCODE_STRING = encode_basestring_ascii",
+           ("tests/test_fim.py::TestJsonLines::test_samples_of_two_chains_in_one_call",
+            f"{CLI}::TestGoldenPrep::test_decompose_build_fim_and_stats_match_the_checked_in_hashes")),
+    # a step-chain line without its question
+    Mutant("decompose.py", '{"id": rid, "question": question, "steps": list(chain.texts)}',
+           '{"id": rid, "steps": list(chain.texts)}',
+           (f"{CLI}::TestGoldenSynth::test_gen_synth_matches_the_checked_in_hashes",
+            f"{CLI}::TestGoldenPrep::test_decompose_build_fim_and_stats_match_the_checked_in_hashes",
+            f"{CLI}::TestPipeline::test_an_http_prompt_is_the_training_text_before_the_middle")),
     # the http backend never gives a connection back to its pool
     Mutant("backends.py", "                self._idle.append(conn)\n", "",
            ("tests/test_backends.py::TestKeepAliveConnections::"

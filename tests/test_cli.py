@@ -20,6 +20,7 @@ from helpers import StubCompletionServer
 
 from stepfim import cli, synth
 from stepfim.backends import OracleBackend, request_id_for
+from stepfim.fim import FimSample, samples_jsonl
 
 
 def run_cli(*args: str, timeout: float = 120):
@@ -1494,6 +1495,32 @@ class TestPipeline:
             parts = [sample["prefix"], sample["middle"], sample["suffix"]]
             joined = "\n".join(p for p in parts if p)
             assert "2 + 3 = 5" in joined
+
+    def test_an_http_prompt_is_the_training_text_before_the_middle(self, tmp_path, capsys):
+        """Inference asks in the layout the model was trained on: the prompt of each
+        coarse gap a step was dropped from is the `psm_text` before `loss_char_start`
+        of the `build-fim` line that holds that step out of the fine chain."""
+        assert cli.main(["gen-synth", "--count", "12", "--seed", "5", "--drop", "random-k",
+                         "--drop-k", "1", "--out", str(tmp_path)]) == 0
+        fine, dropped = _read_jsonl(tmp_path / "fine.jsonl"), _read_jsonl(tmp_path / "dropped.jsonl")
+        samples = [FimSample(row["id"], 0, gone["dropped_indices"][0], row["question"], tuple(row["steps"]))
+                   for row, gone in zip(fine, dropped)]
+        lines = [json.loads(line) for line in samples_jsonl(samples).splitlines()]
+        middles = {line["psm_text"][: line["loss_char_start"]]: line["middle"] for line in lines}
+        assert len(middles) == 12
+
+        def answer(body):  # the dropped step for its sample's prompt, an empty (invalid) candidate else
+            return 200, {"completion": middles.get(body["prompt"], "")}
+
+        with StubCompletionServer(answer) as server:
+            code = cli.main(["expand", "--input", str(tmp_path / "coarse.jsonl"), "--output",
+                             str(tmp_path / "out.jsonl"), "--backend", "http", "--endpoint-url", server.url])
+            prompts = [seen["body"]["prompt"] for seen in server.seen]
+        assert code == 0, capsys.readouterr().err
+        coarse_gaps = sum(len(row["steps"]) - 1 for row in _read_jsonl(tmp_path / "coarse.jsonl"))
+        assert len(prompts) == coarse_gaps
+        assert sum(prompt in middles for prompt in prompts) == 12
+        assert (tmp_path / "out.jsonl").read_bytes() == (tmp_path / "fine.jsonl").read_bytes()
 
 
 class TestGoldenPrep:
